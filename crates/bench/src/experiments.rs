@@ -1885,9 +1885,6 @@ pub fn exp_serve(
     let load_config = LoadConfig {
         clients,
         requests_per_client: requests,
-        // Probes per policy request; >2 exercises the server's batched
-        // extraction path under load (default 2 keeps historical plans).
-        policy_batch: env_usize("MANDIPASS_POLICY_BATCH", 2).max(1),
         ..LoadConfig::default()
     };
     let in_process = run_load(
@@ -2169,14 +2166,12 @@ pub fn exp_overload(
 
     let mix = TrafficMix::default();
     let fault_intensity = LoadConfig::default().fault_intensity;
-    let policy_batch = LoadConfig::default().policy_batch;
     let open_point = |rate: f64, total: usize, senders: usize| OpenLoopConfig {
         rate_per_sec: rate,
         total_requests: total,
         senders,
         mix,
         fault_intensity,
-        policy_batch,
         seed,
         deadline_ms: None,
     };
@@ -2210,15 +2205,8 @@ pub fn exp_overload(
     for report in [&unsaturated, &overload] {
         for (index, outcome) in report.outcomes.iter().enumerate() {
             if let OpenOutcome::Served { signature } = outcome {
-                let (request, _) = plan_indexed_request(
-                    seed,
-                    index,
-                    &users,
-                    &recorder,
-                    mix,
-                    fault_intensity,
-                    policy_batch,
-                );
+                let (request, _) =
+                    plan_indexed_request(seed, index, &users, &recorder, mix, fault_intensity);
                 let replay = outcome_signature(&service.handle(&request));
                 parity_checked += 1;
                 if *signature != replay {

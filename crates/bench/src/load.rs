@@ -64,12 +64,6 @@ pub struct LoadConfig {
     pub mix: TrafficMix,
     /// Fault intensity (0..=1) for the faulty share.
     pub fault_intensity: f64,
-    /// Probes per policy (faulty-share) request: one fault-injected
-    /// probe plus `policy_batch - 1` clean retries. Two or more retries
-    /// exercise the server's batched-extraction path (one CNN forward
-    /// for the whole retry budget); the default of 2 reproduces the
-    /// historical plan byte for byte.
-    pub policy_batch: usize,
     /// Master seed; every client derives its own stream from it.
     pub seed: u64,
 }
@@ -81,7 +75,6 @@ impl Default for LoadConfig {
             requests_per_client: 32,
             mix: TrafficMix::default(),
             fault_intensity: 0.75,
-            policy_batch: 2,
             seed: 0x5e12_4e20,
         }
     }
@@ -104,9 +97,6 @@ impl LoadConfig {
                 "fault intensity {} outside [0, 1]",
                 self.fault_intensity
             ));
-        }
-        if self.policy_batch == 0 {
-            return Err("policy_batch must be at least 1".to_string());
         }
         Ok(())
     }
@@ -138,10 +128,6 @@ impl LoadConfig {
             (
                 "fault_intensity".to_string(),
                 Value::Number(self.fault_intensity),
-            ),
-            (
-                "policy_batch".to_string(),
-                Value::Number(self.policy_batch as f64),
             ),
             ("seed".to_string(), Value::Number(self.seed as f64)),
         ])
@@ -377,7 +363,6 @@ fn plan_mixed(
     recorder: &Recorder,
     mix: TrafficMix,
     fault_intensity: f64,
-    policy_batch: usize,
 ) -> (Request, PlannedKind) {
     let draw = rng.gen_range(0..100u32);
     let user_idx = rng.gen_range(0..users.len());
@@ -407,17 +392,11 @@ fn plan_mixed(
         let profiles = sweep_profiles(fault_intensity);
         let profile = &profiles[rng.gen_range(0..profiles.len())];
         let clean = recorder.record(user, Condition::Normal, probe_seed);
-        let mut probes = vec![profile.apply(&clean, probe_seed)];
-        // Retry `i`'s seed derivation keeps `i == 1` equal to the
-        // historical single-retry plan, so default (policy_batch 2)
-        // traffic is byte-identical to what it was before the knob.
-        for i in 1..policy_batch.max(1) as u64 {
-            probes.push(recorder.record(
-                user,
-                Condition::Normal,
-                probe_seed ^ 0xDEAD_BEEFu64.wrapping_mul(i),
-            ));
-        }
+        // One fault-injected probe plus one clean retry.
+        let probes = vec![
+            profile.apply(&clean, probe_seed),
+            recorder.record(user, Condition::Normal, probe_seed ^ 0xDEAD_BEEF),
+        ];
         (
             Request::VerifyWithPolicy {
                 user_id: user.id,
@@ -437,14 +416,7 @@ fn plan_request(
     tally: &mut Tally,
 ) -> (Request, bool, bool) {
     // Returns (request, is_genuine, is_impostor); faulty = neither flag.
-    let (request, kind) = plan_mixed(
-        rng,
-        users,
-        recorder,
-        config.mix,
-        config.fault_intensity,
-        config.policy_batch,
-    );
+    let (request, kind) = plan_mixed(rng, users, recorder, config.mix, config.fault_intensity);
     match kind {
         PlannedKind::Genuine => tally.genuine += 1,
         PlannedKind::Impostor => tally.impostor += 1,
@@ -468,18 +440,10 @@ pub fn plan_indexed_request(
     recorder: &Recorder,
     mix: TrafficMix,
     fault_intensity: f64,
-    policy_batch: usize,
 ) -> (Request, PlannedKind) {
     let mut rng =
         StdRng::seed_from_u64(seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    plan_mixed(
-        &mut rng,
-        users,
-        recorder,
-        mix,
-        fault_intensity,
-        policy_batch,
-    )
+    plan_mixed(&mut rng, users, recorder, mix, fault_intensity)
 }
 
 /// A stable, bit-exact signature of one service outcome: decisions
@@ -953,8 +917,6 @@ pub struct OpenLoopConfig {
     pub mix: TrafficMix,
     /// Fault intensity for the faulty share.
     pub fault_intensity: f64,
-    /// Probes per policy request (see [`LoadConfig::policy_batch`]).
-    pub policy_batch: usize,
     /// Master seed; request `i` derives from `(seed, i)` only.
     pub seed: u64,
     /// Optional per-request `deadline_ms` budget.
@@ -1135,7 +1097,6 @@ pub fn run_open_loop(
                 recorder,
                 config.mix,
                 config.fault_intensity,
-                config.policy_batch,
             );
             let mut doc = request.to_json();
             if let Some(ms) = config.deadline_ms {
@@ -1613,8 +1574,8 @@ mod tests {
         let recorder = Recorder::default();
         let mix = TrafficMix::default();
         for index in [0usize, 1, 7, 63] {
-            let (a, ka) = plan_indexed_request(42, index, users, &recorder, mix, 0.5, 2);
-            let (b, kb) = plan_indexed_request(42, index, users, &recorder, mix, 0.5, 2);
+            let (a, ka) = plan_indexed_request(42, index, users, &recorder, mix, 0.5);
+            let (b, kb) = plan_indexed_request(42, index, users, &recorder, mix, 0.5);
             assert_eq!(ka, kb, "plan kind must be a pure function of (seed, index)");
             assert_eq!(
                 a.to_json().to_json(),
@@ -1622,8 +1583,8 @@ mod tests {
                 "request {index} must serialize identically across plans"
             );
         }
-        let (a, _) = plan_indexed_request(42, 5, users, &recorder, mix, 0.5, 2);
-        let (b, _) = plan_indexed_request(43, 5, users, &recorder, mix, 0.5, 2);
+        let (a, _) = plan_indexed_request(42, 5, users, &recorder, mix, 0.5);
+        let (b, _) = plan_indexed_request(43, 5, users, &recorder, mix, 0.5);
         assert_ne!(
             a.to_json().to_json(),
             b.to_json().to_json(),

@@ -19,7 +19,7 @@ use crate::error::MandiPassError;
 use crate::extractor::BiometricExtractor;
 use crate::gradient_array::GradientArray;
 use crate::preprocess::preprocess;
-use crate::quality::{self, QualityConfig};
+use crate::quality::{self, QualityConfig, QualityReport};
 use crate::similarity::{accepts, cosine_distance};
 use crate::template::{CancelableTemplate, GaussianMatrix, MandiblePrint};
 
@@ -78,6 +78,10 @@ pub struct PolicyDecision {
     /// Reject labels of the probes consumed before the decision.
     pub rejects: Vec<String>,
 }
+
+/// A pipeline-stage result whose error carries the span tree captured
+/// while the stage ran, when one was.
+type Traced<T> = Result<T, (MandiPassError, Option<SpanTree>)>;
 
 /// A complete MandiPass deployment: trained extractor + pipeline
 /// configuration + secure enclave.
@@ -255,16 +259,7 @@ impl MandiPass {
         probe: &Recording,
         matrix: &GaussianMatrix,
     ) -> Result<VerifyOutcome, MandiPassError> {
-        let _span = mandipass_telemetry::span("verify");
-        let template = {
-            let _span = mandipass_telemetry::span("enclave_load");
-            self.enclave.load(user_id)?
-        };
-        let print = self.extract_print(probe)?;
-        let cancelable = matrix.transform(&print)?;
-        let outcome = self.decide(&template, &cancelable);
-        self.finish_verify(user_id, outcome);
-        Ok(outcome)
+        self.verify_with(user_id, || matrix.transform(&self.extract_print(probe)?))
     }
 
     /// Compares a raw cancelable vector against the stored template —
@@ -279,12 +274,24 @@ impl MandiPass {
         user_id: u32,
         presented: &CancelableTemplate,
     ) -> Result<VerifyOutcome, MandiPassError> {
+        self.verify_with(user_id, || Ok(presented.clone()))
+    }
+
+    /// The verification tail every path shares: load the stored
+    /// template, build the probe's cancelable print (after the load, so
+    /// a missing template is reported before any probe error), decide,
+    /// and record the decision.
+    fn verify_with(
+        &self,
+        user_id: u32,
+        cancelable: impl FnOnce() -> Result<CancelableTemplate, MandiPassError>,
+    ) -> Result<VerifyOutcome, MandiPassError> {
         let _span = mandipass_telemetry::span("verify");
         let template = {
             let _span = mandipass_telemetry::span("enclave_load");
             self.enclave.load(user_id)?
         };
-        let outcome = self.decide(&template, presented);
+        let outcome = self.decide(&template, &cancelable()?);
         self.finish_verify(user_id, outcome);
         Ok(outcome)
     }
@@ -293,6 +300,12 @@ impl MandiPass {
     /// `policy.max_attempts`) passes the quality gate before the
     /// pipeline runs. Gyro-only faults may fall back to degraded
     /// accelerometer-only verification with a tightened threshold.
+    ///
+    /// Every probe that passes the gate is preprocessed up front and all
+    /// of their MandiblePrints come out of one batched CNN forward
+    /// ([`BiometricExtractor::extract_prints_batch`]); a single clean
+    /// probe is a batch of one. The probes are then walked in order and
+    /// the first one that reaches a decision ends the walk.
     ///
     /// Every rejected probe is recorded in the enclave audit trail and
     /// in per-reason telemetry counters (`quality.reject.<label>`); the
@@ -320,256 +333,66 @@ impl MandiPass {
             self.enclave.load(user_id)?;
         }
         let considered = &probes[..probes.len().min(policy.max_attempts.max(1))];
-        // Batched fast path: when two or more probes pass the quality
-        // gate, one [N, …] CNN forward through the scratch arena
-        // amortises the per-forward fixed costs across the retry budget.
-        // Flows with fewer clean probes — the common single-probe serve
-        // request — keep the sequential path, and with it the exact
-        // telemetry shape they had before batching existed.
-        if considered.len() >= 2 {
-            let reports: Vec<quality::QualityReport> = considered
-                .iter()
-                .map(|p| quality::assess(p, &policy.quality))
-                .collect();
-            if reports.iter().filter(|r| r.ok()).count() >= 2 {
-                return self
-                    .verify_with_policy_batched(user_id, considered, reports, matrix, policy);
-            }
-        }
-        self.verify_with_policy_sequential(user_id, considered, matrix, policy)
-    }
-
-    /// The original one-probe-at-a-time policy walk.
-    fn verify_with_policy_sequential(
-        &self,
-        user_id: u32,
-        considered: &[Recording],
-        matrix: &GaussianMatrix,
-        policy: &VerifyPolicy,
-    ) -> Result<PolicyDecision, MandiPassError> {
-        let mut rejects: Vec<String> = Vec::new();
-        let mut attempts = 0usize;
-        for probe in considered {
-            attempts += 1;
-            let report = quality::assess(probe, &policy.quality);
-            if report.ok() {
-                // Capture the attempt's span tree for the flight
-                // recorder; inside an outer capture (benchmarks, the
-                // determinism suite) this yields and records nothing.
-                let (result, spans) =
-                    mandipass_telemetry::try_capture(|| self.verify(user_id, probe, matrix));
-                match result {
-                    Ok(outcome) => {
-                        self.finish_policy(attempts, false);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: false,
-                            rejects,
-                        });
-                    }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, &report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
-                }
-            }
-            if policy.allow_degraded && report.degraded_viable() {
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
-                    self.verify_degraded(user_id, probe, matrix, policy)
-                });
-                match result {
-                    Ok(outcome) => {
-                        mandipass_telemetry::counter!("verify.degraded").inc();
-                        self.finish_policy(attempts, true);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: true,
-                            rejects,
-                        });
-                    }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, &report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
-                }
-            }
-            // Quality rejection: one audit event + counter per reason.
-            for reason in &report.reasons {
-                self.count_reject("quality", reason.label());
-                self.enclave.record_quality_reject(user_id, reason.label());
-            }
-            let labels: Vec<&str> = report.reasons.iter().map(|r| r.label()).collect();
-            let label = format!("quality:{}", labels.join("+"));
-            self.monitor.observe_reject(&label);
-            self.record_reject_flight(user_id, &label, &report, None);
-            rejects.push(label);
-        }
-        self.finish_policy(attempts, false);
-        let mut flight = VerifyFlight::new(user_id, FlightOutcome::Exhausted);
-        flight.attempts = attempts;
-        flight.rejects = rejects.clone();
-        self.monitor.record_flight(flight);
-        Err(MandiPassError::RetriesExhausted {
-            attempts,
-            reasons: rejects,
-        })
-    }
-
-    /// The batched policy walk: preprocesses every quality-ok probe,
-    /// extracts all their MandiblePrints through one batched CNN forward
-    /// ([`BiometricExtractor::extract_prints_batch`]), then replays the
-    /// sequential walk's decision/bookkeeping order over the precomputed
-    /// prints. The outcome, attempt counting, reject labels, audit
-    /// events, and monitor feeds match the sequential path exactly; only
-    /// the number of CNN forwards (one instead of up to N) differs.
-    fn verify_with_policy_batched(
-        &self,
-        user_id: u32,
-        considered: &[Recording],
-        reports: Vec<quality::QualityReport>,
-        matrix: &GaussianMatrix,
-        policy: &VerifyPolicy,
-    ) -> Result<PolicyDecision, MandiPassError> {
-        enum Prep {
-            /// Quality-ok, preprocessed: waiting on the batched forward.
-            Grad(GradientArray),
-            /// Quality-ok but the preprocessing pipeline rejected it.
-            Failed(MandiPassError, Option<SpanTree>),
-            /// Quality gate failed; the walk handles degraded/reject.
-            Gated,
-        }
-        let preps: Vec<Prep> = considered
+        let reports: Vec<QualityReport> = considered
             .iter()
-            .zip(&reports)
-            .map(|(probe, report)| {
-                if !report.ok() {
-                    return Prep::Gated;
-                }
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
-                    let _span = mandipass_telemetry::span("extract_print");
-                    let array = preprocess(probe, &self.config)?;
-                    GradientArray::from_signal_array(&array, self.config.half_n())
-                });
-                match result {
-                    Ok(grad) => Prep::Grad(grad),
-                    Err(e) => Prep::Failed(e, spans),
-                }
-            })
+            .map(|p| quality::assess(p, &policy.quality))
             .collect();
-
-        // One forward for every probe that survived preprocessing. A
-        // batch-level failure (shape mismatch) falls back to per-probe
-        // verification below rather than failing the whole policy.
-        let grads: Vec<&GradientArray> = preps
-            .iter()
-            .filter_map(|p| match p {
-                Prep::Grad(g) => Some(g),
-                _ => None,
-            })
-            .collect();
-        let mut batch_prints = self
-            .extractor
-            .extract_prints_batch(&grads)
-            .ok()
-            .map(Vec::into_iter);
+        let prints = self.extract_clean_prints(considered, &reports);
 
         let mut rejects: Vec<String> = Vec::new();
-        let mut attempts = 0usize;
-        for (i, probe) in considered.iter().enumerate() {
-            attempts += 1;
-            let report = &reports[i];
-            match &preps[i] {
-                Prep::Grad(_) => {
-                    let print = batch_prints.as_mut().and_then(Iterator::next);
-                    let (result, spans) = mandipass_telemetry::try_capture(|| match &print {
-                        Some(print) => self.verify_print(user_id, print, matrix),
-                        // Batch extraction failed: per-probe fallback.
-                        None => self.verify(user_id, probe, matrix),
-                    });
-                    match result {
-                        Ok(outcome) => {
-                            self.finish_policy(attempts, false);
-                            return Ok(PolicyDecision {
-                                outcome,
-                                attempts,
-                                degraded: false,
-                                rejects,
-                            });
-                        }
-                        Err(e) => {
-                            self.count_reject("pipeline", e.label());
-                            self.enclave.record_quality_reject(user_id, e.label());
-                            let label = format!("pipeline:{}", e.label());
-                            self.monitor.observe_reject(&label);
-                            self.record_reject_flight(user_id, &label, report, spans);
-                            rejects.push(label);
-                            continue;
-                        }
-                    }
-                }
-                Prep::Failed(e, spans) => {
-                    // The sequential path loads the template before its
-                    // pipeline fails; replay that enclave access so the
-                    // audit trail stays identical.
+        for (i, ((probe, report), print)) in considered.iter().zip(&reports).zip(prints).enumerate()
+        {
+            // Capture each attempt's span tree for the flight recorder;
+            // inside an outer capture (benchmarks, the determinism
+            // suite) this yields and records nothing.
+            let (result, spans) = match print {
+                Some(Ok(print)) => mandipass_telemetry::try_capture(|| {
+                    self.verify_with(user_id, || matrix.transform(&print))
+                }),
+                Some(Err((e, spans))) => {
+                    // `verify` loads the template before its pipeline
+                    // fails; load it here too, so the audit trail is the
+                    // same whether the probe came alone or in a batch.
                     let _ = self.enclave.load(user_id);
-                    self.count_reject("pipeline", e.label());
-                    self.enclave.record_quality_reject(user_id, e.label());
-                    let label = format!("pipeline:{}", e.label());
-                    self.monitor.observe_reject(&label);
-                    self.record_reject_flight(user_id, &label, report, spans.clone());
-                    rejects.push(label);
+                    (Err(e), spans)
+                }
+                None if policy.allow_degraded && report.degraded_viable() => {
+                    mandipass_telemetry::try_capture(|| {
+                        self.verify_degraded(user_id, probe, matrix, policy)
+                    })
+                }
+                None => {
+                    let labels: Vec<&'static str> =
+                        report.reasons.iter().map(|r| r.label()).collect();
+                    self.reject(user_id, "quality", &labels, report, None, &mut rejects);
                     continue;
                 }
-                Prep::Gated => {}
-            }
-            if policy.allow_degraded && report.degraded_viable() {
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
-                    self.verify_degraded(user_id, probe, matrix, policy)
-                });
-                match result {
-                    Ok(outcome) => {
+            };
+            match result {
+                Ok(outcome) => {
+                    let degraded = !report.ok();
+                    if degraded {
                         mandipass_telemetry::counter!("verify.degraded").inc();
-                        self.finish_policy(attempts, true);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: true,
-                            rejects,
-                        });
                     }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
+                    self.finish_policy(i + 1, degraded);
+                    return Ok(PolicyDecision {
+                        outcome,
+                        attempts: i + 1,
+                        degraded,
+                        rejects,
+                    });
                 }
+                Err(e) => self.reject(
+                    user_id,
+                    "pipeline",
+                    &[e.label()],
+                    report,
+                    spans,
+                    &mut rejects,
+                ),
             }
-            for reason in &report.reasons {
-                self.count_reject("quality", reason.label());
-                self.enclave.record_quality_reject(user_id, reason.label());
-            }
-            let labels: Vec<&str> = report.reasons.iter().map(|r| r.label()).collect();
-            let label = format!("quality:{}", labels.join("+"));
-            self.monitor.observe_reject(&label);
-            self.record_reject_flight(user_id, &label, report, None);
-            rejects.push(label);
         }
+        let attempts = considered.len();
         self.finish_policy(attempts, false);
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Exhausted);
         flight.attempts = attempts;
@@ -581,44 +404,88 @@ impl MandiPass {
         })
     }
 
-    /// Verifies a precomputed MandiblePrint against `user_id`'s stored
-    /// template — the tail of [`MandiPass::verify`] after extraction,
-    /// used by the batched policy walk (which extracts prints up front).
-    fn verify_print(
+    /// Preprocesses every probe whose report passed the quality gate and
+    /// extracts all their MandiblePrints with one batched CNN forward.
+    /// Returns one entry per probe: `None` when the gate rejected it, else
+    /// its print, or the error (with the span tree of its preprocessing,
+    /// when one was captured) that stopped it. A batch-level extraction
+    /// failure is each clean probe's own error, as it would be for
+    /// [`MandiPass::verify`].
+    fn extract_clean_prints(
         &self,
-        user_id: u32,
-        print: &MandiblePrint,
-        matrix: &GaussianMatrix,
-    ) -> Result<VerifyOutcome, MandiPassError> {
-        let _span = mandipass_telemetry::span("verify");
-        let template = {
-            let _span = mandipass_telemetry::span("enclave_load");
-            self.enclave.load(user_id)?
-        };
-        let cancelable = matrix.transform(print)?;
-        let outcome = self.decide(&template, &cancelable);
-        self.finish_verify(user_id, outcome);
-        Ok(outcome)
+        probes: &[Recording],
+        reports: &[QualityReport],
+    ) -> Vec<Option<Traced<MandiblePrint>>> {
+        let grads: Vec<Option<Traced<GradientArray>>> = probes
+            .iter()
+            .zip(reports)
+            .map(|(probe, report)| {
+                report.ok().then(|| {
+                    let (result, spans) = mandipass_telemetry::try_capture(|| {
+                        let _span = mandipass_telemetry::span("extract_print");
+                        let array = preprocess(probe, &self.config)?;
+                        GradientArray::from_signal_array(&array, self.config.half_n())
+                    });
+                    result.map_err(|e| (e, spans))
+                })
+            })
+            .collect();
+        let batch: Vec<&GradientArray> = grads.iter().flatten().flatten().collect();
+        let mut prints = self
+            .extractor
+            .extract_prints_batch(&batch)
+            .map(Vec::into_iter);
+        grads
+            .into_iter()
+            .map(|grad| {
+                grad.map(|grad| {
+                    grad?;
+                    match &mut prints {
+                        Ok(prints) => prints.next().ok_or(MandiPassError::DimensionMismatch {
+                            expected: 1,
+                            got: 0,
+                        }),
+                        Err(e) => Err(e.clone()),
+                    }
+                    .map_err(|e| (e, None))
+                })
+            })
+            .collect()
     }
 
-    /// Records one rejected policy attempt in the flight recorder,
-    /// attaching the quality report and (when one was captured) the
-    /// attempt's span tree as structured detail.
-    fn record_reject_flight(
+    /// Books one rejected policy attempt under `family` (`quality` or
+    /// `pipeline`): a counter and an audit event per reason, then the
+    /// combined label on the monitor, in a flight record (with the
+    /// quality report and, when one was captured, the attempt's span
+    /// tree as detail), and in `rejects`.
+    fn reject(
         &self,
         user_id: u32,
-        label: &str,
-        report: &quality::QualityReport,
+        family: &str,
+        reasons: &[&'static str],
+        report: &QualityReport,
         spans: Option<SpanTree>,
+        rejects: &mut Vec<String>,
     ) {
+        for reason in reasons {
+            // Dynamically named: the `counter!` macro caches one handle
+            // per call site, which cannot key on the reason.
+            mandipass_telemetry::metrics()
+                .counter(&format!("{family}.reject.{reason}"))
+                .inc();
+            self.enclave.record_quality_reject(user_id, reason);
+        }
+        let label = format!("{family}:{}", reasons.join("+"));
+        self.monitor.observe_reject(&label);
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Rejected);
-        flight.rejects.push(label.to_string());
+        flight.rejects.push(label.clone());
         let mut detail = vec![("quality".to_string(), report.to_json())];
         if let Some(tree) = spans {
             detail.push(("spans".to_string(), tree.to_json()));
         }
         flight.detail = Value::Object(detail);
         self.monitor.record_flight(flight);
+        rejects.push(label);
     }
 
     /// Accelerometer-only verification under a tightened threshold: the
@@ -676,15 +543,6 @@ impl MandiPass {
             threshold: self.config.threshold * threshold_scale,
             ..self.config.clone()
         }
-    }
-
-    /// Per-reason reject counters use dynamically named metrics (the
-    /// `counter!` macro caches one handle per call site, which cannot
-    /// key on the reason).
-    fn count_reject(&self, family: &str, label: &str) {
-        mandipass_telemetry::metrics()
-            .counter(&format!("{family}.reject.{label}"))
-            .inc();
     }
 
     fn finish_policy(&self, attempts: usize, degraded: bool) {

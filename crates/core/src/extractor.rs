@@ -529,13 +529,6 @@ impl BiometricExtractor {
         self.prepare_inference();
         Ok(folded)
     }
-
-    /// Classification accuracy of the training head on a labelled batch
-    /// (evaluation mode).
-    pub fn evaluate_accuracy(&self, input: &Tensor, labels: &[usize]) -> f64 {
-        let (_, logits) = self.infer_forward(input);
-        accuracy(&logits, labels)
-    }
 }
 
 impl Layer for BiometricExtractor {
@@ -551,6 +544,13 @@ impl Layer for BiometricExtractor {
     fn infer(&self, input: &Tensor) -> Tensor {
         let (_, logits) = self.infer_forward(input);
         logits
+    }
+
+    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
+        let n = shape.dims()[0];
+        let embeddings = self.infer_embeddings_fast(input, n, ctx);
+        self.classifier
+            .infer_fast(embeddings, Shape::d2(n, self.config.embedding_dim), ctx)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -742,6 +742,24 @@ mod tests {
         let naive = ex.extract_naive(&[&a]).unwrap();
         let fast = ex.extract_prints_batch(&[&a]).unwrap();
         assert_eq!(naive[0].as_slice(), fast[0].as_slice());
+    }
+
+    #[test]
+    fn layer_infer_fast_logits_match_infer() {
+        let mut ex = BiometricExtractor::new(ExtractorConfig::tiny(3)).unwrap();
+        ex.prepare_inference();
+        let arrays = [toy_gradient_array(0.1), toy_gradient_array(1.7)];
+        let input = ex.batch_input(&[&arrays[0], &arrays[1]]).unwrap();
+        let logits = Layer::infer(&ex, &input);
+        let mut ctx = InferCtx::default();
+        let (fast, shape) = Layer::infer_fast(
+            &ex,
+            input.data().to_vec(),
+            Shape::from_dims(input.shape()),
+            &mut ctx,
+        );
+        assert_eq!(shape.dims(), logits.shape());
+        assert_eq!(fast, logits.data());
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl Shape {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The dimensions as an owned `Vec` (for bridging into [`Tensor`]
-    /// fallback paths; allocates, so not for the hot loop).
-    ///
-    /// [`Tensor`]: crate::tensor::Tensor
-    pub fn to_vec(&self) -> Vec<usize> {
-        self.dims().to_vec()
-    }
 }
 
 /// A snapshot of an arena's allocation behaviour.
@@ -203,7 +195,6 @@ mod tests {
         assert_eq!(s.len(), 120);
         assert!(!s.is_empty());
         assert_eq!(Shape::from_dims(&[7, 9]), Shape::d2(7, 9));
-        assert_eq!(Shape::d2(7, 9).to_vec(), vec![7, 9]);
     }
 
     #[test]

@@ -86,18 +86,9 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Evaluation-mode forward on the scratch arena: consumes a
     /// ctx-owned input buffer and returns a ctx-owned output buffer
     /// (possibly the input itself, for in-place layers). Semantically
-    /// identical to [`Layer::infer`]; the hot-path layers override this
-    /// with kernels that allocate nothing once `ctx` is warm. The
-    /// default bridges through `infer` so exotic layers stay correct
-    /// (at Tensor-path cost) and feed their buffers into the pool.
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
-        let tensor =
-            Tensor::from_vec(shape.to_vec(), input).expect("arena buffer matches its shape");
-        let out = self.infer(&tensor);
-        ctx.release(tensor.into_data());
-        let out_shape = Shape::from_dims(out.shape());
-        (out.into_data(), out_shape)
-    }
+    /// identical to [`Layer::infer`], with kernels that allocate nothing
+    /// once `ctx` is warm.
+    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape);
 
     /// One-time deployment hook: precomputes derived inference-only
     /// data (e.g. a transposed weight copy for the GEMM kernel). Safe to

@@ -757,6 +757,22 @@ mod tests {
         );
     }
 
+    /// A frame of 100 000 nested `[` once overflowed the decoding
+    /// thread's stack and aborted the server; it is an ordinary
+    /// malformed frame now.
+    #[test]
+    fn deeply_nested_frames_are_malformed_not_fatal() {
+        let malformed = mandipass_telemetry::metrics().counter("serve.frame.malformed");
+        let before = malformed.get();
+        let frame = "[".repeat(100_000).into_bytes();
+        let err = std::thread::spawn(move || Request::from_frame(&frame))
+            .join()
+            .expect("decoding thread survives")
+            .expect_err("depth 100 000 must be rejected");
+        assert!(err.contains("nesting"), "{err}");
+        assert!(malformed.get() > before, "counted as malformed");
+    }
+
     #[test]
     fn oversized_frames_are_counted() {
         let oversized = mandipass_telemetry::metrics().counter("serve.frame.oversized");

@@ -134,16 +134,22 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a few kilobytes of `[`
+/// would overflow the calling thread's stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message (with byte offset) on malformed
-/// input or trailing garbage.
+/// input, trailing garbage, or nesting deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -157,6 +163,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,8 +202,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -363,6 +385,30 @@ mod tests {
             "", "not json", "{", "[1,", "{\"a\":}", "\"open", "1 2", "{'a':1}",
         ] {
             assert!(parse(bad).is_err(), "expected error for {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// Depth 100 000 used to recurse once per `[` and overflow the stack
+    /// of a default-sized spawned thread, aborting the whole process.
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_default_stack() {
+        for open in ["[", "{\"a\":"] {
+            let doc = open.repeat(100_000);
+            let result = std::thread::spawn(move || parse(&doc))
+                .join()
+                .expect("parser thread survives");
+            let err = result.expect_err("depth 100 000 must be rejected");
+            assert!(err.contains("nesting"), "{err}");
         }
     }
 

@@ -2,13 +2,14 @@
 //! path: parity between the deployed im2col+GEMM path and the naive
 //! tensor-per-layer oracle on a *trained* extractor, batch invariance,
 //! conv+BN fusion tolerance, scratch-arena steady state, and
-//! equivalence of the batched multi-probe policy walk with direct
-//! single-probe verification.
+//! equivalence of the batched policy walk with direct single-probe
+//! verification and with single-probe policy requests.
 
 use mandipass::extractor::{arena_stats, reset_arena_growth};
 use mandipass::gradient_array::GradientArray;
 use mandipass::prelude::*;
 use mandipass::preprocess::preprocess;
+use mandipass::quality;
 use mandipass_bench::{EvalScale, TrainedStack};
 use mandipass_imu_sim::{Condition, Recording, UserProfile};
 
@@ -126,8 +127,7 @@ fn arena_reaches_steady_state_across_extractions() {
     assert!(stats.high_water_bytes > 0);
 }
 
-/// The batched policy walk (≥2 quality-ok probes → one [N,…] forward)
-/// must reach the exact decision direct single-probe verification
+/// The policy walk over two clean probes (one [2,…] forward) must reach the exact decision direct single-probe verification
 /// reaches: same accept bit, bit-identical distance, same attempt count.
 #[test]
 fn multi_probe_policy_walk_matches_direct_verification() {
@@ -162,9 +162,212 @@ fn multi_probe_policy_walk_matches_direct_verification() {
         assert_eq!(
             multi.outcome.distance.to_bits(),
             direct.distance.to_bits(),
-            "batched policy walk diverged from direct verification"
+            "policy walk diverged from direct verification"
         );
         assert!(multi.rejects.is_empty());
         assert_eq!(multi.outcome.accepted, threshold > 1.0);
+    }
+}
+
+/// The probe kinds the policy walk branches on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ProbeKind {
+    /// Passes the quality gate and verifies normally.
+    Clean,
+    /// Non-finite samples: a quality reject.
+    NonFinite,
+    /// A stuck gyro axis: verifies in degraded accelerometer-only mode.
+    StuckGyro,
+    /// Passes the quality gate but fails preprocessing (the capture ends
+    /// before the vibration segment does).
+    Truncated,
+}
+
+const PROBE_KINDS: [ProbeKind; 4] = [
+    ProbeKind::Clean,
+    ProbeKind::NonFinite,
+    ProbeKind::StuckGyro,
+    ProbeKind::Truncated,
+];
+
+fn probe_of(kind: ProbeKind, clean: &Recording, config: &PipelineConfig) -> Recording {
+    let rebuild = |axes: Vec<Vec<f64>>| {
+        Recording::from_parts(
+            clean.sample_rate_hz(),
+            axes,
+            clean.condition(),
+            clean.user_id(),
+        )
+        .expect("rebuilds the probe")
+    };
+    match kind {
+        ProbeKind::Clean => clean.clone(),
+        ProbeKind::NonFinite => rebuild(vec![vec![f64::NAN; clean.len()]; 6]),
+        ProbeKind::StuckGyro => {
+            let mut axes = clean.axes().to_vec();
+            let frozen = axes[3][0];
+            axes[3].iter_mut().for_each(|v| *v = frozen);
+            rebuild(axes)
+        }
+        ProbeKind::Truncated => {
+            let start =
+                mandipass_dsp::detect::detect_vibration_start(clean.az(), &config.detector())
+                    .expect("clean probe has a vibration start");
+            let keep = start + config.n - 1;
+            rebuild(clean.axes().iter().map(|a| a[..keep].to_vec()).collect())
+        }
+    }
+}
+
+/// Everything a policy request decides and leaves in the audit trail,
+/// in bit-comparable form.
+#[derive(Debug, PartialEq)]
+struct WalkRecord {
+    /// `(accepted, distance bits, degraded)` of the deciding probe, or
+    /// `None` when the retry budget was exhausted.
+    decision: Option<(bool, u64, bool)>,
+    attempts: usize,
+    rejects: Vec<String>,
+    /// Non-`Load` audit events: `(kind, outcome, distance bits, reason)`.
+    events: Vec<(AuditKind, bool, Option<u64>, Option<&'static str>)>,
+}
+
+fn walk(
+    sys: &MandiPass,
+    user_id: u32,
+    probes: &[Recording],
+    matrix: &GaussianMatrix,
+) -> WalkRecord {
+    let from = sys.enclave().audit_seq();
+    let result = sys.verify_with_policy(user_id, probes, matrix, &VerifyPolicy::default());
+    let events = sys
+        .enclave()
+        .audit_events_for(user_id)
+        .into_iter()
+        .filter(|e| e.seq >= from && e.kind != AuditKind::Load)
+        .map(|e| (e.kind, e.outcome, e.distance.map(f64::to_bits), e.reason))
+        .collect();
+    match result {
+        Ok(d) => WalkRecord {
+            decision: Some((d.outcome.accepted, d.outcome.distance.to_bits(), d.degraded)),
+            attempts: d.attempts,
+            rejects: d.rejects,
+            events,
+        },
+        Err(MandiPassError::RetriesExhausted { attempts, reasons }) => WalkRecord {
+            decision: None,
+            attempts,
+            rejects: reasons,
+            events,
+        },
+        Err(other) => panic!("policy walk failed outright: {other:?}"),
+    }
+}
+
+/// Property: for every probe list of length 1–3 over {clean, quality
+/// reject, degraded, preprocessing failure}, a policy request decides
+/// exactly as the first deciding single-probe request taken in order,
+/// with the earlier single-probe rejects concatenated — same accept bit,
+/// distance bits, attempt count, degraded flag, reject labels, and
+/// non-`Load` audit events.
+#[test]
+fn policy_walk_equals_first_deciding_single_probe_walk() {
+    let stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
+    let user = stack.population.users()[0].clone();
+    let recorder = stack.recorder.clone();
+    let config = PipelineConfig::default();
+    let mut sys = MandiPass::new(stack.extractor.clone(), config.clone());
+    let matrix = GaussianMatrix::generate(17, sys.embedding_dim());
+    let enrolment: Vec<Recording> = (0..3u64)
+        .map(|s| recorder.record(&user, Condition::Normal, 700 + s))
+        .collect();
+    sys.enroll(user.id, &enrolment, &matrix).expect("enrols");
+
+    // One clean capture per list position, so a batch holds distinct
+    // prints and the walk must pair each probe with its own.
+    let cleans: Vec<Recording> = (0..3u64)
+        .map(|s| recorder.record(&user, Condition::Normal, 950 + s))
+        .collect();
+    for clean in &cleans {
+        let truncated = probe_of(ProbeKind::Truncated, clean, &config);
+        assert!(quality::assess(&truncated, &QualityConfig::default()).ok());
+        assert!(preprocess(&truncated, &config).is_err());
+    }
+
+    // Anchor the single-probe walks the property is built on: a clean
+    // probe decides as plain `verify` does, a truncated one is rejected
+    // with `verify`'s pipeline error, a NaN probe with its quality-gate
+    // reasons, and a stuck gyro decides in degraded mode.
+    let clean = &cleans[0];
+    let single = |kind| walk(&sys, user.id, &[probe_of(kind, clean, &config)], &matrix);
+    let direct = sys.verify(user.id, clean, &matrix).expect("verifies");
+    assert_eq!(
+        single(ProbeKind::Clean).decision,
+        Some((direct.accepted, direct.distance.to_bits(), false))
+    );
+    let truncated = probe_of(ProbeKind::Truncated, clean, &config);
+    let err = sys
+        .verify(user.id, &truncated, &matrix)
+        .expect_err("a truncated probe fails preprocessing");
+    assert_eq!(
+        single(ProbeKind::Truncated).rejects,
+        [format!("pipeline:{}", err.label())]
+    );
+    let nan = probe_of(ProbeKind::NonFinite, clean, &config);
+    let reasons: Vec<&str> = quality::assess(&nan, &QualityConfig::default())
+        .reasons
+        .iter()
+        .map(|r| r.label())
+        .collect();
+    assert_eq!(
+        single(ProbeKind::NonFinite).rejects,
+        [format!("quality:{}", reasons.join("+"))]
+    );
+    assert!(single(ProbeKind::StuckGyro)
+        .decision
+        .is_some_and(|(_, _, degraded)| degraded));
+
+    let mut lists: Vec<Vec<ProbeKind>> = PROBE_KINDS.iter().map(|&k| vec![k]).collect();
+    for len in 2..=3 {
+        let shorter: Vec<Vec<ProbeKind>> = lists
+            .iter()
+            .filter(|l| l.len() == len - 1)
+            .cloned()
+            .collect();
+        for prefix in shorter {
+            for &k in &PROBE_KINDS {
+                let mut list = prefix.clone();
+                list.push(k);
+                lists.push(list);
+            }
+        }
+    }
+    assert_eq!(lists.len(), 4 + 16 + 64);
+
+    for kinds in &lists {
+        let probes: Vec<Recording> = kinds
+            .iter()
+            .zip(&cleans)
+            .map(|(&k, clean)| probe_of(k, clean, &config))
+            .collect();
+        let multi = walk(&sys, user.id, &probes, &matrix);
+
+        let mut expected = WalkRecord {
+            decision: None,
+            attempts: 0,
+            rejects: Vec::new(),
+            events: Vec::new(),
+        };
+        for probe in &probes {
+            let single = walk(&sys, user.id, std::slice::from_ref(probe), &matrix);
+            expected.attempts += 1;
+            expected.rejects.extend(single.rejects);
+            expected.events.extend(single.events);
+            if single.decision.is_some() {
+                expected.decision = single.decision;
+                break;
+            }
+        }
+        assert_eq!(multi, expected, "probe list {kinds:?}");
     }
 }
