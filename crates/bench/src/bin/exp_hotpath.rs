@@ -1,4 +1,4 @@
-//! Hot-path benchmark: trains an extractor, then measures the per-verify
+//! Hot-path benchmark: trains an extractor, then measures the per-extract
 //! forward latency of the naive tensor-per-layer oracle against the
 //! zero-alloc im2col+GEMM fast path (plus the fused conv+BN variant and
 //! the batched [N,C,H,W] forward), all in one binary in one run, and

@@ -1066,13 +1066,13 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     table.push(
         ExperimentRecord::new(
             "Hot path",
-            "per-verify forward speedup (fast vs naive oracle)",
+            "per-extract forward speedup (fast vs naive oracle)",
             "≥ 3x (same run)",
             format!("{speedup_fast:.1}x"),
             speedup_fast >= 3.0,
         )
         .with_note(format!(
-            "naive {:.3} ms, fast {:.3} ms per verify",
+            "naive {:.3} ms, fast {:.3} ms per extract",
             naive_per * 1e3,
             fast_per * 1e3
         )),
@@ -1127,7 +1127,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         ("batch".into(), Value::Number(batch as f64)),
         ("folded_layers".into(), Value::Number(folded as f64)),
         (
-            "per_verify_seconds".into(),
+            "per_extract_seconds".into(),
             Value::Object(vec![
                 ("naive".into(), Value::Number(naive_per)),
                 ("fast".into(), Value::Number(fast_per)),
@@ -1829,7 +1829,15 @@ pub fn exp_serve(
     let mut auth = MandiPass::new(stack.extractor.clone(), config);
     auth.set_monitor(monitor);
     let dim = auth.embedding_dim();
-    let mut service = VerifyService::new(auth, VerifyPolicy::default());
+    // Breaker disabled: the transport-parity row compares in-process
+    // and TCP tallies, and a drift Alarm tripping the breaker between
+    // the two passes would turn one side's answers into degraded-only
+    // ones (the same reason the repo benchmark disables it).
+    let mut service = VerifyService::with_breaker(
+        auth,
+        VerifyPolicy::default(),
+        mandipass_serve::BreakerConfig::disabled(),
+    );
     for user in &users {
         let matrix = GaussianMatrix::generate(0x5e12 ^ u64::from(user.id), dim);
         let recs: Vec<Recording> = (0..4u64)

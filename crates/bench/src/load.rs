@@ -776,7 +776,7 @@ pub fn compare_bench_serve(
 }
 
 // ---------------------------------------------------------------------
-// Hot-path bench document: per-verify forward latency of the naive
+// Hot-path bench document: per-extract forward latency of the naive
 // tensor-per-layer oracle vs the zero-alloc im2col+GEMM fast path, with
 // parity and arena steady-state facts. The speedup gate compares the
 // FRESH document's own same-run ratio against a floor, so the gate is
@@ -811,9 +811,9 @@ pub fn validate_bench_hotpath(doc: &Value) -> Result<(), String> {
         }
     }
     for field in ["naive", "fast", "fused", "batched_per_probe"] {
-        let v = get_num(doc, &["per_verify_seconds", field])?;
+        let v = get_num(doc, &["per_extract_seconds", field])?;
         if !(v.is_finite() && v > 0.0) {
-            return Err(format!("per_verify_seconds.{field} {v} not positive"));
+            return Err(format!("per_extract_seconds.{field} {v} not positive"));
         }
     }
     for field in ["fast", "fused", "batched"] {

@@ -11,7 +11,7 @@
 
 use mandipass_util::rand::rngs::StdRng;
 use mandipass_util::rand::SeedableRng;
-use mandipass_util::rand_distr::{Distribution, Normal};
+use mandipass_util::rand_distr::{Distribution, StandardNormal};
 
 use crate::error::MandiPassError;
 
@@ -65,9 +65,17 @@ impl MandiblePrint {
     }
 }
 
+/// Mixed into a matrix seed before it seeds the entry stream.
+const MATRIX_SALT: u64 = 0x6761_7573_7373;
+
 /// A user-revocable Gaussian projection matrix, stored compactly as its
-/// generation seed (the matrix is re-derived on demand; entries are
-/// `N(0, 1/√dim)`).
+/// generation seed. Entries are `N(0, 1/√dim)`, drawn in row-major order
+/// from the salted seed with the ziggurat [`StandardNormal`] sampler.
+///
+/// `G` is never materialised: [`GaussianMatrix::transform`] streams it
+/// one row at a time straight into the template accumulator, so a
+/// transform costs `dim²` ziggurat draws and O(dim) memory, not a
+/// `dim × dim` buffer (1 MiB at the paper's 512-d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GaussianMatrix {
     seed: u64,
@@ -92,23 +100,12 @@ impl GaussianMatrix {
         self.dim
     }
 
-    /// Materialises the matrix entries, row-major `dim × dim`.
-    fn entries(&self) -> Vec<f32> {
-        if self.dim == 0 {
-            return Vec::new();
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6761_7573_7373);
-        // `dim >= 1`, so the standard deviation is finite and positive
-        // and the distribution is always constructible.
-        let Ok(normal) = Normal::new(0.0, 1.0 / (self.dim as f64).sqrt()) else {
-            return vec![0.0; self.dim * self.dim];
-        };
-        (0..self.dim * self.dim)
-            .map(|_| normal.sample(&mut rng) as f32)
-            .collect()
-    }
-
     /// Transforms a print into a cancelable template: `x' = x·G`.
+    ///
+    /// Row `i` of `G` is drawn and folded in as `x'_j += x_i·g_ij`, for
+    /// `i` ascending — the same additions, in the same order, as the
+    /// column-wise product over a materialised `G`, so the result is bit
+    /// for bit that product.
     ///
     /// # Errors
     ///
@@ -122,15 +119,17 @@ impl GaussianMatrix {
                 got: print.dim(),
             });
         }
-        let g = self.entries();
-        let x = print.as_slice();
+        let mut rng = StdRng::seed_from_u64(self.seed ^ MATRIX_SALT);
+        let scale = 1.0 / (self.dim as f64).sqrt();
+        let mut row = vec![0.0f32; self.dim];
         let mut out = vec![0.0f32; self.dim];
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (i, &xv) in x.iter().enumerate() {
-                acc += xv * g[i * self.dim + j];
+        for &xi in print.as_slice() {
+            for g in &mut row {
+                *g = (StandardNormal.sample(&mut rng) * scale) as f32;
             }
-            *o = acc;
+            for (o, &g) in out.iter_mut().zip(&row) {
+                *o += xi * g;
+            }
         }
         Ok(CancelableTemplate {
             values: out,
@@ -221,6 +220,48 @@ mod tests {
         let t2 = g2.transform(&p).unwrap();
         let d = cosine_distance(t1.as_slice(), t2.as_slice());
         assert!(d > 0.5485, "cross-matrix distance {d} below threshold");
+    }
+
+    /// Test oracle: materialises the whole `dim × dim` G from the
+    /// canonical stream (salted seed, ziggurat draws scaled by `1/√dim`,
+    /// row-major) and takes `x·G` column by column.
+    fn materialised_transform(g: &GaussianMatrix, print: &MandiblePrint) -> Vec<f32> {
+        let dim = g.dim();
+        let mut rng = StdRng::seed_from_u64(g.seed() ^ MATRIX_SALT);
+        let scale = 1.0 / (dim as f64).sqrt();
+        let entries: Vec<f32> = (0..dim * dim)
+            .map(|_| (StandardNormal.sample(&mut rng) * scale) as f32)
+            .collect();
+        let x = print.as_slice();
+        (0..dim)
+            .map(|j| {
+                let mut acc = 0.0f32;
+                for (i, &xv) in x.iter().enumerate() {
+                    acc += xv * entries[i * dim + j];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_transform_matches_materialised_oracle_bitwise() {
+        for dim in [1, 2, 63, 64, 512] {
+            for seed in [0u64, 7, 0x5e12, u64::MAX] {
+                let g = GaussianMatrix::generate(seed, dim);
+                let p = random_print(seed.wrapping_add(dim as u64), dim);
+                let streamed = g.transform(&p).unwrap();
+                let oracle = materialised_transform(&g, &p);
+                for (j, (s, o)) in streamed.as_slice().iter().zip(&oracle).enumerate() {
+                    assert_eq!(
+                        s.to_bits(),
+                        o.to_bits(),
+                        "dim {dim} seed {seed} component {j}: {s} vs {o}"
+                    );
+                }
+                assert_eq!(streamed.dim(), dim);
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,51 @@
 //! that a disabled profiler adds zero steady-state allocations to the
 //! span fast path, and that attribution charges heap traffic to the
 //! innermost span path.
+//!
+//! The zero-allocation windows read per-thread counts: the test harness
+//! spawns and reports other tests on other threads while a window is
+//! open, and the allocator's process-wide totals would count those.
 
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
 use mandipass_telemetry as telemetry;
 use mandipass_telemetry::{alloc, profile};
 
+/// [`alloc::ProfilingAlloc`] plus a count of the calling thread's own
+/// allocations and bytes.
+struct ThreadCountingAlloc;
+
+thread_local! {
+    // Const-initialised and destructor-free, so the allocator can touch
+    // it at any point of a thread's life without allocating.
+    static THREAD_TOTALS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+// SAFETY: delegates every call verbatim to `ProfilingAlloc`; the extra
+// bookkeeping only updates a thread-local counter.
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        THREAD_TOTALS.with(|t| {
+            let (n, bytes) = t.get();
+            t.set((n + 1, bytes + layout.size() as u64));
+        });
+        unsafe { alloc::ProfilingAlloc.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { alloc::ProfilingAlloc.dealloc(ptr, layout) }
+    }
+}
+
 #[global_allocator]
-static ALLOC: alloc::ProfilingAlloc = alloc::ProfilingAlloc;
+static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
+
+/// `(allocations, bytes)` made by the calling thread so far.
+fn thread_totals() -> (u64, u64) {
+    THREAD_TOTALS.with(Cell::get)
+}
 
 /// Serialises tests that mutate the process-global profiler state.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -35,11 +72,11 @@ fn disabled_profiler_adds_zero_steady_state_allocations() {
     for _ in 0..8 {
         let _span = telemetry::span("steady_state_probe");
     }
-    let (allocs_before, _, bytes_before) = alloc::totals();
+    let (allocs_before, bytes_before) = thread_totals();
     for _ in 0..10_000 {
         let _span = telemetry::span("steady_state_probe");
     }
-    let (allocs_after, _, bytes_after) = alloc::totals();
+    let (allocs_after, bytes_after) = thread_totals();
     assert_eq!(
         allocs_after - allocs_before,
         0,
@@ -61,12 +98,12 @@ fn enabled_profiler_reaches_steady_state_without_allocating() {
         let _outer = telemetry::span("warm_outer");
         let _inner = telemetry::span("warm_inner");
     }
-    let (allocs_before, _, _) = alloc::totals();
+    let (allocs_before, _) = thread_totals();
     for _ in 0..1_000 {
         let _outer = telemetry::span("warm_outer");
         let _inner = telemetry::span("warm_inner");
     }
-    let (allocs_after, _, _) = alloc::totals();
+    let (allocs_after, _) = thread_totals();
     profile::clear_thread_root();
     profile::set_enabled(false);
     let snapshot = profile::snapshot();
