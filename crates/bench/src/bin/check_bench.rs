@@ -14,7 +14,8 @@
 //! `mandipass.bench.hotpath/v1` documents through the hot-path ones
 //! (first ratio = same-run fast-vs-naive speedup floor, default 3.0;
 //! second = minimum fraction of the baseline's speedup, default 0.5 —
-//! both are ratios of same-run numbers, so machine-independent), and
+//! both are ratios of same-run numbers, so machine-independent — plus
+//! bit-exact parity and zero steady-state arena growth), and
 //! `mandipass.bench.trace/v1` documents through the trace ones (verify
 //! and end-to-end attribution p99 vs baseline, request coverage).
 //! `compare` gates a fresh document against a committed baseline: p99

@@ -937,15 +937,20 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
 }
 
 /// Hot path: the zero-alloc im2col+GEMM inference path measured against
-/// the naive tensor-per-layer oracle, in the same binary in the same
-/// run, plus the fused conv+BN variant and the batched [N,C,H,W]
-/// forward. Produces the schema-versioned `BENCH_hotpath.json` document
-/// the CI perf gate consumes; every ratio in it is same-run, so the
-/// gate is machine-independent.
+/// the naive tensor-per-layer oracle (`forward(x, false)`), in the same
+/// binary in the same run, plus the batched [N,C,H,W] forward. Produces
+/// the schema-versioned `BENCH_hotpath.json` document the CI perf gate
+/// consumes; every ratio in it is same-run, so the gate is
+/// machine-independent.
+///
+/// Measures its own clone of the stack's extractor, prepared for
+/// inference: an earlier experiment that exposed the parameters mutably
+/// (e.g. `serialized_size`) drops the packed linear weights, and the
+/// gate must time the deployed GEMM kernel, not the scalar fallback.
 ///
 /// # Errors
 ///
-/// Propagates extraction and fusion failures.
+/// Propagates extraction failures.
 pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), MandiPassError> {
     use std::time::Instant;
     let _span = mandipass_telemetry::span("exp_hotpath");
@@ -984,7 +989,8 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         })
         .collect();
     let single = [&grads[0]];
-    let extractor = &stack.extractor;
+    let mut extractor = stack.extractor.clone();
+    extractor.prepare_inference();
 
     // Parity first — this also warms both paths and sizes the arena.
     let naive_prints = extractor.extract_naive(&single)?;
@@ -1015,23 +1021,6 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
             .expect("batch extracts");
     }) / batch as f64;
 
-    // Fused variant on a clone: BN running stats folded into the
-    // preceding convs, opt-in because parity loosens to ≤1e-6.
-    let mut fused_extractor = stack.extractor.clone();
-    let folded = fused_extractor.fuse()?;
-    let fused_prints = fused_extractor.extract_prints_batch(&single)?;
-    let fused_err = naive_prints[0]
-        .as_slice()
-        .iter()
-        .zip(fused_prints[0].as_slice())
-        .map(|(a, b)| f64::from((a - b).abs()))
-        .fold(0.0_f64, f64::max);
-    let fused_per = time_min(&mut || {
-        let _ = fused_extractor
-            .extract_prints_batch(&single)
-            .expect("fused extracts");
-    });
-
     // Per-stage attribution from the instrumented spans themselves, so
     // this table and the telemetry report share one measurement path.
     let (parity, tree) = mandipass_telemetry::capture(|| extractor.extract_prints_batch(&single));
@@ -1060,7 +1049,6 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     };
 
     let speedup_fast = naive_per / fast_per;
-    let speedup_fused = naive_per / fused_per;
     let speedup_batched = naive_per / batched_per;
     let mut table = ReportTable::new("Hot path: zero-alloc im2col+GEMM inference");
     table.push(
@@ -1099,19 +1087,6 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     table.push(
         ExperimentRecord::new(
             "Hot path",
-            "fused conv+BN parity vs naive oracle",
-            "≤ 1e-6 per element",
-            format!("{fused_err:.2e}"),
-            fused_err <= 1e-6,
-        )
-        .with_note(format!(
-            "{folded} affine layers folded, {:.1}x speedup",
-            speedup_fused
-        )),
-    );
-    table.push(
-        ExperimentRecord::new(
-            "Hot path",
             format!("batched extraction per-probe latency (N={batch})"),
             "≤ single-probe fast path",
             format!("{:.3} ms", batched_per * 1e3),
@@ -1125,13 +1100,11 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         ("scale".into(), Value::String(format!("{:?}", stack.scale))),
         ("iters".into(), Value::Number(iters as f64)),
         ("batch".into(), Value::Number(batch as f64)),
-        ("folded_layers".into(), Value::Number(folded as f64)),
         (
             "per_extract_seconds".into(),
             Value::Object(vec![
                 ("naive".into(), Value::Number(naive_per)),
                 ("fast".into(), Value::Number(fast_per)),
-                ("fused".into(), Value::Number(fused_per)),
                 ("batched_per_probe".into(), Value::Number(batched_per)),
             ]),
         ),
@@ -1139,16 +1112,12 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
             "speedup".into(),
             Value::Object(vec![
                 ("fast".into(), Value::Number(speedup_fast)),
-                ("fused".into(), Value::Number(speedup_fused)),
                 ("batched".into(), Value::Number(speedup_batched)),
             ]),
         ),
         (
             "parity".into(),
-            Value::Object(vec![
-                ("fast_bitwise".into(), Value::Bool(fast_bitwise)),
-                ("fused_max_abs_err".into(), Value::Number(fused_err)),
-            ]),
+            Value::Object(vec![("fast_bitwise".into(), Value::Bool(fast_bitwise))]),
         ),
         (
             "arena".into(),

@@ -810,13 +810,13 @@ pub fn validate_bench_hotpath(doc: &Value) -> Result<(), String> {
             return Err(format!("{field} must be at least 1"));
         }
     }
-    for field in ["naive", "fast", "fused", "batched_per_probe"] {
+    for field in ["naive", "fast", "batched_per_probe"] {
         let v = get_num(doc, &["per_extract_seconds", field])?;
         if !(v.is_finite() && v > 0.0) {
             return Err(format!("per_extract_seconds.{field} {v} not positive"));
         }
     }
-    for field in ["fast", "fused", "batched"] {
+    for field in ["fast", "batched"] {
         let v = get_num(doc, &["speedup", field])?;
         if !(v.is_finite() && v > 0.0) {
             return Err(format!("speedup.{field} {v} not positive"));
@@ -826,7 +826,6 @@ pub fn validate_bench_hotpath(doc: &Value) -> Result<(), String> {
         Some(Value::Bool(_)) => {}
         _ => return Err("missing parity.fast_bitwise bool".to_string()),
     }
-    get_num(doc, &["parity", "fused_max_abs_err"])?;
     for field in ["steady_growth_events", "high_water_bytes", "pooled_buffers"] {
         if get_num(doc, &["arena", field])? < 0.0 {
             return Err(format!("arena.{field} negative"));
@@ -868,12 +867,6 @@ pub fn compare_bench_hotpath(
     }
     if fresh.get("parity").and_then(|p| p.get("fast_bitwise")) != Some(&Value::Bool(true)) {
         violations.push("fast path lost bit-exact parity with the naive oracle".to_string());
-    }
-    let fused_err = get_num(fresh, &["parity", "fused_max_abs_err"])?;
-    if !(fused_err.is_finite() && fused_err < 1e-5) {
-        violations.push(format!(
-            "fused parity error {fused_err:e} outside the 1e-5 envelope"
-        ));
     }
     let growth = get_num(fresh, &["arena", "steady_growth_events"])?;
     if growth != 0.0 {

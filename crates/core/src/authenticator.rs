@@ -110,19 +110,6 @@ impl MandiPass {
         }
     }
 
-    /// Deployment-time optimisation: fuses each batch norm's running
-    /// statistics into the preceding convolution (fewer layers per
-    /// forward). Embeddings then match the unfused network to ≈1e-6
-    /// rather than bit for bit — see
-    /// [`BiometricExtractor::fuse`]. Returns the folded-layer count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a pending-training-cache refusal from the extractor.
-    pub fn fuse(&mut self) -> Result<usize, MandiPassError> {
-        self.extractor.fuse()
-    }
-
     /// Redirects this deployment's live-monitoring feed (decisions,
     /// rejects, flights, enclave audit) to `monitor`. The default is the
     /// process-wide global monitor.

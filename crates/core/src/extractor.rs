@@ -273,10 +273,11 @@ impl BiometricExtractor {
     }
 
     /// Forward pass: returns `(embeddings [N, D], logits [N, classes])`.
+    /// With `train == false` this uses the batch-norm running statistics
+    /// and leaves every backward cache untouched; it is the scalar
+    /// reference the deployed fast path
+    /// ([`BiometricExtractor::extract_prints_batch`]) matches bit for bit.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> (Tensor, Tensor) {
-        if !train {
-            return self.infer_forward(input);
-        }
         let features = match &mut self.branch_negative {
             Some(branch_negative) => {
                 let (pos, neg) = split_directions(&self.config, input);
@@ -289,42 +290,9 @@ impl BiometricExtractor {
         let pre = self.head.forward(&features, train);
         let embedding = self.head_act.forward(&pre, train);
         let logits = self.classifier.forward(&embedding, train);
-        self.cached_batch = Some(input.shape()[0]);
-        (embedding, logits)
-    }
-
-    /// Evaluation-mode forward pass through shared references: returns
-    /// `(embeddings [N, D], logits [N, classes])` using batch-norm running
-    /// statistics, without touching any backward cache. This is the
-    /// deployed path — a trained extractor can serve concurrent
-    /// verifications.
-    pub fn infer_forward(&self, input: &Tensor) -> (Tensor, Tensor) {
-        let _span = mandipass_telemetry::span("cnn_forward");
-        let features = match &self.branch_negative {
-            Some(branch_negative) => {
-                let (pos, neg) = split_directions(&self.config, input);
-                let fp = {
-                    let _span = mandipass_telemetry::span("branch_positive");
-                    self.branch_positive.infer(&pos)
-                };
-                let fn_ = {
-                    let _span = mandipass_telemetry::span("branch_negative");
-                    branch_negative.infer(&neg)
-                };
-                Tensor::concat_cols(&[&fp, &fn_])
-            }
-            None => {
-                let _span = mandipass_telemetry::span("branch_positive");
-                self.branch_positive.infer(input)
-            }
-        };
-        let (embedding, logits) = {
-            let _span = mandipass_telemetry::span("embedding_head");
-            let pre = self.head.infer(&features);
-            let embedding = self.head_act.infer(&pre);
-            let logits = self.classifier.infer(&embedding);
-            (embedding, logits)
-        };
+        if train {
+            self.cached_batch = Some(input.shape()[0]);
+        }
         (embedding, logits)
     }
 
@@ -369,9 +337,10 @@ impl BiometricExtractor {
     /// Fast-path embeddings: consumes a flat `[N, 2, axes, half_n]` arena
     /// buffer and returns the `[N, embedding_dim]` embedding buffer (the
     /// caller releases it). Skips the classifier head — deployment never
-    /// reads the logits. Emits the same stage spans as
-    /// [`BiometricExtractor::infer_forward`] plus the kernel-level
-    /// `im2col`/`gemm`/`bias_act` spans from the convolution fast path.
+    /// reads the logits. Emits the stage spans `cnn_forward`,
+    /// `branch_positive`/`branch_negative` and `embedding_head`, with the
+    /// per-layer and kernel-level `im2col`/`gemm`/`bias_act` spans
+    /// beneath them.
     fn infer_embeddings_fast(&self, input: Vec<f32>, n: usize, ctx: &mut InferCtx) -> Vec<f32> {
         let _span = mandipass_telemetry::span("cnn_forward");
         let axes = self.config.axes;
@@ -477,22 +446,21 @@ impl BiometricExtractor {
         })
     }
 
-    /// Reference extraction through the original tensor-per-layer path —
-    /// the parity oracle for the fast path (and the fallback nothing
-    /// optimised touches).
+    /// Reference extraction through the tensor-per-layer
+    /// `forward(input, false)` — the parity oracle for the fast path.
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches from [`BiometricExtractor::batch_input`].
     pub fn extract_naive(
-        &self,
+        &mut self,
         arrays: &[&GradientArray],
     ) -> Result<Vec<MandiblePrint>, MandiPassError> {
         if arrays.is_empty() {
             return Ok(Vec::new());
         }
         let input = self.batch_input(arrays)?;
-        let (embeddings, _) = self.infer_forward(&input);
+        let (embeddings, _) = self.forward(&input, false);
         let d = self.config.embedding_dim;
         Ok((0..arrays.len())
             .map(|i| MandiblePrint::new(embeddings.data()[i * d..(i + 1) * d].to_vec()))
@@ -509,26 +477,6 @@ impl BiometricExtractor {
         }
         self.head.prepare_inference();
     }
-
-    /// Deployment-time conv+batch-norm fusion on both branches (see
-    /// [`Sequential::fuse`]): folds running statistics into the preceding
-    /// convolutions' weights so the deployed network runs fewer layers.
-    /// Returns the number of layers folded away. Outputs match unfused to
-    /// ≈1e-6, not bit for bit — opt in only where that tolerance is
-    /// acceptable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`mandipass_nn::NnError::FusePendingBackward`] when a
-    /// training-mode forward cache is pending.
-    pub fn fuse(&mut self) -> Result<usize, MandiPassError> {
-        let mut folded = self.branch_positive.fuse()?;
-        if let Some(branch_negative) = &mut self.branch_negative {
-            folded += branch_negative.fuse()?;
-        }
-        self.prepare_inference();
-        Ok(folded)
-    }
 }
 
 impl Layer for BiometricExtractor {
@@ -538,11 +486,6 @@ impl Layer for BiometricExtractor {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let (_, logits) = BiometricExtractor::forward(self, input, train);
-        logits
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (_, logits) = self.infer_forward(input);
         logits
     }
 
@@ -750,7 +693,7 @@ mod tests {
         ex.prepare_inference();
         let arrays = [toy_gradient_array(0.1), toy_gradient_array(1.7)];
         let input = ex.batch_input(&[&arrays[0], &arrays[1]]).unwrap();
-        let logits = Layer::infer(&ex, &input);
+        let logits = Layer::forward(&mut ex, &input, false);
         let mut ctx = InferCtx::default();
         let (fast, shape) = Layer::infer_fast(
             &ex,
@@ -772,27 +715,6 @@ mod tests {
         for (i, a) in arrays.iter().enumerate() {
             let single = ex.extract_prints_batch(&[a]).unwrap();
             assert_eq!(single[0].as_slice(), batched[i].as_slice());
-        }
-    }
-
-    #[test]
-    fn fused_extractor_matches_within_tolerance() {
-        let mut ex = BiometricExtractor::new(ExtractorConfig::tiny(2)).unwrap();
-        // Move the running statistics off init so fusion has work to do.
-        let a = toy_gradient_array(0.0);
-        let b = toy_gradient_array(2.0);
-        let input = ex.batch_input(&[&a, &b]).unwrap();
-        let mut adam = Adam::new(0.01);
-        for _ in 0..3 {
-            let _ = ex.train_batch(&input, &[0, 1]);
-            adam.step(&mut ex.params());
-        }
-        let reference = ex.extract_naive(&[&a]).unwrap();
-        let folded = ex.fuse().unwrap();
-        assert_eq!(folded, 6, "three batch norms per branch fold away");
-        let fused = ex.extract_prints_batch(&[&a]).unwrap();
-        for (x, y) in fused[0].as_slice().iter().zip(reference[0].as_slice()) {
-            assert!((x - y).abs() < 1e-6, "fused {x} vs unfused {y}");
         }
     }
 

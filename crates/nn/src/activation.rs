@@ -33,10 +33,6 @@ impl Layer for ReLU {
         if train {
             self.mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
         }
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         let mut out = input.clone();
         for v in out.data_mut() {
             if *v < 0.0 {
@@ -59,10 +55,6 @@ impl Layer for ReLU {
             }
         }
         (input, shape)
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.mask.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -113,17 +105,12 @@ impl Layer for Sigmoid {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         let mut out = input.clone();
         for v in out.data_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
+        }
+        if train {
+            self.cached_output = Some(out.clone());
         }
         out
     }
@@ -139,10 +126,6 @@ impl Layer for Sigmoid {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
         (input, shape)
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.cached_output.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

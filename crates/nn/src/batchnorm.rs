@@ -84,12 +84,26 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input);
-        }
         let (n, plane) = self.check_input(input);
         let x = input.data();
         let mut out = input.clone();
+        if !train {
+            let mean = self.running_mean.data();
+            let var = self.running_var.data();
+            let gamma = self.gamma.data();
+            let beta = self.beta.data();
+            let y = out.data_mut();
+            for img in 0..n {
+                for c in 0..self.channels {
+                    let base = (img * self.channels + c) * plane;
+                    let inv_std = 1.0 / (var[c] + self.eps).sqrt();
+                    for i in 0..plane {
+                        y[base + i] = gamma[c] * ((x[base + i] - mean[c]) * inv_std) + beta[c];
+                    }
+                }
+            }
+            return out;
+        }
         let count = (n * plane) as f32;
 
         let mut mean = vec![0.0f32; self.channels];
@@ -150,27 +164,6 @@ impl Layer for BatchNorm2d {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (n, plane) = self.check_input(input);
-        let x = input.data();
-        let mut out = input.clone();
-        let mean = self.running_mean.data();
-        let var = self.running_var.data();
-        let gamma = self.gamma.data();
-        let beta = self.beta.data();
-        let y = out.data_mut();
-        for img in 0..n {
-            for c in 0..self.channels {
-                let base = (img * self.channels + c) * plane;
-                let inv_std = 1.0 / (var[c] + self.eps).sqrt();
-                for i in 0..plane {
-                    y[base + i] = gamma[c] * ((x[base + i] - mean[c]) * inv_std) + beta[c];
-                }
-            }
-        }
-        out
-    }
-
     fn infer_fast(
         &self,
         mut input: Vec<f32>,
@@ -186,8 +179,8 @@ impl Layer for BatchNorm2d {
         let var = self.running_var.data();
         let gamma = self.gamma.data();
         let beta = self.beta.data();
-        // In place, with the exact expression `infer` uses so the two
-        // paths agree bit for bit.
+        // In place, with the exact expression eval-mode `forward` uses so
+        // the two paths agree bit for bit.
         for img in 0..n {
             for c in 0..self.channels {
                 let base = (img * self.channels + c) * plane;
@@ -198,27 +191,6 @@ impl Layer for BatchNorm2d {
             }
         }
         (input, shape)
-    }
-
-    fn fold_affine(&self) -> Option<(Vec<f32>, Vec<f32>)> {
-        // y = γ·(x − μ)/√(σ² + ε) + β  ≡  scale·x + shift with
-        // scale = γ/√(σ² + ε), shift = β − μ·scale.
-        let mean = self.running_mean.data();
-        let var = self.running_var.data();
-        let gamma = self.gamma.data();
-        let beta = self.beta.data();
-        let mut scale = Vec::with_capacity(self.channels);
-        let mut shift = Vec::with_capacity(self.channels);
-        for c in 0..self.channels {
-            let s = gamma[c] / (var[c] + self.eps).sqrt();
-            scale.push(s);
-            shift.push(beta[c] - mean[c] * s);
-        }
-        Some((scale, shift))
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.cache.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

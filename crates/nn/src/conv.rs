@@ -173,14 +173,6 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         let (n, h, w) = self.check_input(input);
         let (kh, kw) = self.kernel;
         let (sh, sw) = self.stride;
@@ -226,6 +218,9 @@ impl Layer for Conv2d {
                     }
                 }
             }
+        }
+        if train {
+            self.cached_input = Some(input.clone());
         }
         out
     }
@@ -273,27 +268,6 @@ impl Layer for Conv2d {
         ctx.release(col);
         ctx.release(input);
         (out, Shape::d4(n, self.out_channels, oh, ow))
-    }
-
-    fn absorb_affine(&mut self, scale: &[f32], shift: &[f32]) -> bool {
-        if scale.len() != self.out_channels || shift.len() != self.out_channels {
-            return false;
-        }
-        let per_oc = self.in_channels * self.kernel.0 * self.kernel.1;
-        let wt = self.weight.data_mut();
-        for (oc, &s) in scale.iter().enumerate() {
-            for v in &mut wt[oc * per_oc..(oc + 1) * per_oc] {
-                *v *= s;
-            }
-        }
-        for ((bv, &s), &t) in self.bias.data_mut().iter_mut().zip(scale).zip(shift) {
-            *bv = *bv * s + t;
-        }
-        true
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.cached_input.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -511,28 +485,26 @@ mod tests {
     }
 
     #[test]
-    fn infer_never_caches_and_eval_forward_never_clones() {
-        // Regression: eval-shaped calls must not pay the training-cache
+    fn eval_forward_leaves_cached_input_empty() {
+        // Regression: eval-mode calls must not pay the training-cache
         // clone of the input.
         let mut conv = Conv2d::new(1, 2, (3, 3), (1, 2), (1, 1), 3);
         let x = Tensor::from_vec(vec![1, 1, 4, 6], (0..24).map(|i| i as f32).collect()).unwrap();
-        let _ = conv.infer(&x);
-        assert!(!conv.training_cache_active(), "infer cached its input");
         let _ = conv.forward(&x, false);
         assert!(
-            !conv.training_cache_active(),
+            conv.cached_input.is_none(),
             "eval-mode forward cloned the input into the cache"
         );
         let _ = conv.forward(&x, true);
-        assert!(conv.training_cache_active(), "training forward must cache");
+        assert!(conv.cached_input.is_some(), "training forward must cache");
         let g = Tensor::zeros(vec![1, 2, 4, 3]);
         let _ = conv.backward(&g);
-        assert!(!conv.training_cache_active(), "backward consumes the cache");
+        assert!(conv.cached_input.is_none(), "backward consumes the cache");
     }
 
     #[test]
     fn fast_path_is_bit_exact_on_paper_geometry() {
-        let conv = Conv2d::new(8, 16, (3, 3), (1, 2), (1, 1), 21);
+        let mut conv = Conv2d::new(8, 16, (3, 3), (1, 2), (1, 1), 21);
         let x = Tensor::from_vec(
             vec![2, 8, 6, 15],
             (0..2 * 8 * 6 * 15)
@@ -540,7 +512,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let reference = conv.infer(&x);
+        let reference = conv.forward(&x, false);
         let mut ctx = InferCtx::new();
         let buf = {
             let mut b = ctx.acquire(x.len());
@@ -550,13 +522,6 @@ mod tests {
         let (fast, shape) = conv.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
         assert_eq!(shape.dims(), reference.shape());
         assert_eq!(&fast[..], reference.data());
-    }
-
-    #[test]
-    fn absorb_affine_rejects_channel_mismatch() {
-        let mut conv = Conv2d::new(1, 2, (1, 1), (1, 1), (0, 0), 0);
-        assert!(!conv.absorb_affine(&[1.0; 3], &[0.0; 3]));
-        assert!(conv.absorb_affine(&[2.0, 3.0], &[0.5, -0.5]));
     }
 }
 
@@ -585,13 +550,13 @@ mod proptests {
             pw in 0usize..3,
             seed in 0u64..64,
         ) {
-            let conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
+            let mut conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
             let len = n * in_c * h * w;
             let x = Tensor::from_vec(
                 vec![n, in_c, h, w],
                 (0..len).map(|i| ((i as f32) + seed as f32).sin() * 2.0 - 0.5).collect(),
             ).unwrap();
-            let reference = conv.infer(&x);
+            let reference = conv.forward(&x, false);
             let mut ctx = InferCtx::new();
             let mut buf = ctx.acquire(len);
             buf.copy_from_slice(x.data());

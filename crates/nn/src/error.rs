@@ -27,10 +27,6 @@ pub enum NnError {
         /// Parameter count found in the blob.
         got: usize,
     },
-    /// Conv+batch-norm fusion was requested while a training-mode
-    /// forward cache is pending (a backward pass is still owed);
-    /// rewriting weights mid-step would corrupt the gradients.
-    FusePendingBackward,
 }
 
 impl fmt::Display for NnError {
@@ -44,12 +40,6 @@ impl fmt::Display for NnError {
                 write!(
                     f,
                     "parameter layout mismatch: model has {expected} tensors, blob has {got}"
-                )
-            }
-            NnError::FusePendingBackward => {
-                write!(
-                    f,
-                    "cannot fuse while a training-mode forward cache is pending"
                 )
             }
         }

@@ -30,15 +30,11 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_shape = Some(input.shape().to_vec());
-        }
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         let shape = input.shape();
         assert!(shape.len() >= 2, "flatten expects rank >= 2 input");
+        if train {
+            self.cached_shape = Some(shape.to_vec());
+        }
         let n = shape[0];
         let features: usize = shape[1..].iter().product();
         input
@@ -55,10 +51,6 @@ impl Layer for Flatten {
         // Row-major data is already in flattened order: only the shape
         // changes, no copy.
         (input, Shape::d2(dims[0], features))
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.cached_shape.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -22,10 +22,13 @@ pub struct Param<'a> {
 /// that cache in [`Layer::backward`]. Gradients accumulate into the layer's
 /// grad buffers; call [`Layer::zero_grad`] between optimiser steps.
 ///
-/// Layers are `Send + Sync`: the deployed inference path
-/// ([`Layer::infer`]) takes `&self` and a trained model is shared
-/// read-only across verify-server worker threads, so every layer must be
-/// plain data (no `Rc`/`RefCell`-style interior mutability).
+/// `forward(x, false)` is the scalar reference for inference; the
+/// deployed path, [`Layer::infer_fast`], must equal it bit for bit.
+///
+/// Layers are `Send + Sync`: [`Layer::infer_fast`] takes `&self` and a
+/// trained model is shared read-only across verify-server worker
+/// threads, so every layer must be plain data (no `Rc`/`RefCell`-style
+/// interior mutability).
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// A short stable kind label (e.g. `"conv2d"`), used as the
     /// telemetry span name for per-layer inference timing.
@@ -35,14 +38,10 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// Computes the layer output. `train` selects training behaviour
     /// (e.g. batch statistics in batch norm) and enables caching for the
-    /// backward pass.
+    /// backward pass. With `train == false` it touches no state (no
+    /// backward cache, no running-statistic updates) and is the scalar
+    /// reference that [`Layer::infer_fast`] reproduces.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Computes the layer output in evaluation mode without touching any
-    /// mutable state: no backward cache, no running-statistic updates.
-    /// Equals `forward(input, false)` for every layer; this is the
-    /// deployed verification path, where the trained model is shared.
-    fn infer(&self, input: &Tensor) -> Tensor;
 
     /// Backpropagates `grad_output` (gradient of the loss with respect to
     /// this layer's output), accumulating parameter gradients and returning
@@ -85,9 +84,9 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// Evaluation-mode forward on the scratch arena: consumes a
     /// ctx-owned input buffer and returns a ctx-owned output buffer
-    /// (possibly the input itself, for in-place layers). Semantically
-    /// identical to [`Layer::infer`], with kernels that allocate nothing
-    /// once `ctx` is warm.
+    /// (possibly the input itself, for in-place layers). Equals
+    /// `forward(input, false)` bit for bit, with kernels that allocate
+    /// nothing once `ctx` is warm.
     fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape);
 
     /// One-time deployment hook: precomputes derived inference-only
@@ -97,31 +96,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// [`Layer::state_params`]), so call this again after any training
     /// step or parameter load.
     fn prepare_inference(&mut self) {}
-
-    /// Per-channel `(scale, shift)` of an evaluation-mode affine layer
-    /// (batch norm running statistics) that a preceding convolution can
-    /// absorb: `y[c] = scale[c] · x[c] + shift[c]`. `None` for layers
-    /// that are not foldable affines.
-    fn fold_affine(&self) -> Option<(Vec<f32>, Vec<f32>)> {
-        None
-    }
-
-    /// Absorbs a following affine layer's per-channel `(scale, shift)`
-    /// into this layer's weights and bias. Returns `false` when this
-    /// layer cannot absorb (not a convolution, or channel mismatch),
-    /// leaving it unchanged.
-    fn absorb_affine(&mut self, scale: &[f32], shift: &[f32]) -> bool {
-        let _ = (scale, shift);
-        false
-    }
-
-    /// Whether a training-mode forward cache is pending (a backward
-    /// pass is still owed). Deployment-time transforms such as
-    /// [`Sequential::fuse`](crate::sequential::Sequential::fuse) refuse
-    /// to run in this state.
-    fn training_cache_active(&self) -> bool {
-        false
-    }
 }
 
 impl Clone for Box<dyn Layer> {

@@ -14,10 +14,9 @@
 //! * [`Adam`](optim::Adam) and [`Sgd`](optim::Sgd) optimisers,
 //! * binary parameter (de)serialisation ([`serialize`]),
 //! * mini-batch helpers ([`data`]),
-//! * a zero-allocation inference fast path: scratch arenas ([`infer`]),
-//!   an im2col + blocked-GEMM convolution kernel ([`gemm`]) and
-//!   deployment-time conv+batch-norm fusion
-//!   ([`Sequential::fuse`](sequential::Sequential::fuse)).
+//! * a zero-allocation inference fast path: scratch arenas ([`infer`])
+//!   and an im2col + blocked-GEMM convolution kernel ([`gemm`]), equal
+//!   bit for bit to each layer's evaluation-mode `forward`.
 //!
 //! # Example
 //!

@@ -76,14 +76,6 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.shape().len(), 2, "linear expects [N, in] input");
         assert_eq!(input.shape()[1], self.in_features, "input feature mismatch");
         let n = input.shape()[0];
@@ -104,6 +96,9 @@ impl Layer for Linear {
                 yi[o] = acc;
             }
         }
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
@@ -123,7 +118,7 @@ impl Layer for Linear {
                     }
                 }
                 // Same per-output accumulation order as the scalar dot
-                // (bias first, k ascending) — bit-exact against `infer`.
+                // (bias first, k ascending) — bit-exact against `forward`.
                 let _span = mandipass_telemetry::span("gemm");
                 gemm_acc(n, self.in_features, self.out_features, &input, wt, &mut out);
             }
@@ -158,10 +153,6 @@ impl Layer for Linear {
             }
         }
         self.packed_t = Some(packed);
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.cached_input.is_some()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -341,7 +332,7 @@ mod tests {
             (0..3 * 48).map(|i| ((i as f32) * 0.17).cos()).collect(),
         )
         .unwrap();
-        let reference = layer.infer(&x);
+        let reference = layer.forward(&x, false);
         let mut ctx = InferCtx::new();
         let mut buf = ctx.acquire(x.len());
         buf.copy_from_slice(x.data());
@@ -362,7 +353,7 @@ mod tests {
         );
         // The unpacked fallback still matches the reference path.
         let x = Tensor::from_vec(vec![1, 4], vec![0.1, -0.2, 0.3, -0.4]).unwrap();
-        let reference = layer.infer(&x);
+        let reference = layer.forward(&x, false);
         let mut ctx = InferCtx::new();
         let mut buf = ctx.acquire(4);
         buf.copy_from_slice(x.data());

@@ -1,6 +1,5 @@
 //! A sequential container of layers.
 
-use crate::error::NnError;
 use crate::infer::{InferCtx, Shape};
 use crate::layer::{Layer, Param};
 use crate::tensor::Tensor;
@@ -28,46 +27,6 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
-
-    /// Deployment-time fusion: folds every affine layer that follows an
-    /// absorbing layer (in practice, each `BatchNorm2d`'s running
-    /// statistics into the preceding `Conv2d`'s weights and bias) and
-    /// removes the folded layer, so the deployed network runs fewer
-    /// layers. Returns the number of layers folded away; idempotent (a
-    /// second call finds nothing left to fold).
-    ///
-    /// Fusion uses the batch norms' *running* statistics, so it is an
-    /// evaluation-mode transform: a fused network no longer updates
-    /// those statistics in training mode. Outputs match the unfused
-    /// network to floating-point reassociation tolerance (≈1e-6), not
-    /// bit for bit — callers that need bit-exact parity with the
-    /// training-time graph keep the unfused network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::FusePendingBackward`] when any layer still
-    /// holds a training-mode forward cache (a backward pass is owed):
-    /// rewriting weights mid-step would corrupt the gradients.
-    pub fn fuse(&mut self) -> Result<usize, NnError> {
-        if self.training_cache_active() {
-            return Err(NnError::FusePendingBackward);
-        }
-        let mut fused = 0usize;
-        let mut i = 0;
-        while i < self.layers.len() {
-            if i + 1 < self.layers.len() {
-                if let Some((scale, shift)) = self.layers[i + 1].fold_affine() {
-                    if self.layers[i].absorb_affine(&scale, &shift) {
-                        self.layers.remove(i + 1);
-                        fused += 1;
-                        continue; // the next affine may fold into i too
-                    }
-                }
-            }
-            i += 1;
-        }
-        Ok(fused)
-    }
 }
 
 impl Layer for Sequential {
@@ -87,15 +46,6 @@ impl Layer for Sequential {
         cur
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            let _span = mandipass_telemetry::span(layer.name());
-            cur = layer.infer(&cur);
-        }
-        cur
-    }
-
     fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
         let mut cur = (input, shape);
         for layer in &self.layers {
@@ -109,10 +59,6 @@ impl Layer for Sequential {
         for layer in &mut self.layers {
             layer.prepare_inference();
         }
-    }
-
-    fn training_cache_active(&self) -> bool {
-        self.layers.iter().any(|l| l.training_cache_active())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -210,9 +156,13 @@ mod tests {
         assert_eq!(net.len(), 2);
     }
 
+    /// One of every layer kind, in the extractor's order: two
+    /// [Conv → BatchNorm → ReLU] blocks, then Flatten → Linear → Sigmoid.
     fn conv_bn_stack() -> (Sequential, Tensor) {
+        use crate::activation::Sigmoid;
         use crate::batchnorm::BatchNorm2d;
         use crate::conv::Conv2d;
+        use crate::flatten::Flatten;
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::new(1, 3, (3, 3), (1, 2), (1, 1), 40)),
             Box::new(BatchNorm2d::new(3)),
@@ -220,14 +170,17 @@ mod tests {
             Box::new(Conv2d::new(3, 2, (3, 3), (1, 1), (1, 1), 41)),
             Box::new(BatchNorm2d::new(2)),
             Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(2 * 4 * 5, 6, 42)),
+            Box::new(Sigmoid::new()),
         ]);
         let x = Tensor::from_vec(
             vec![2, 1, 4, 10],
             (0..80).map(|i| ((i as f32) * 0.43).sin()).collect(),
         )
         .unwrap();
-        // A few training passes move the running statistics off their
-        // init values, so fusion actually has something to fold.
+        // A few training passes move the weights and running statistics
+        // off their init values.
         for _ in 0..5 {
             let y = net.forward(&x, true);
             let g = Tensor::full(y.shape().to_vec(), 0.1);
@@ -236,46 +189,23 @@ mod tests {
         (net, x)
     }
 
-    #[test]
-    fn fuse_matches_unfused_within_tolerance() {
-        let (mut net, x) = conv_bn_stack();
-        let reference = net.infer(&x);
-        let folded = net.fuse().expect("no pending training cache");
-        assert_eq!(folded, 2, "both batch norms fold into their convs");
-        assert_eq!(net.len(), 4);
-        let fused = net.infer(&x);
-        assert_eq!(fused.shape(), reference.shape());
-        for (a, b) in fused.data().iter().zip(reference.data()) {
-            assert!((a - b).abs() < 1e-6, "fused {a} vs unfused {b}");
-        }
-    }
-
-    #[test]
-    fn fuse_is_idempotent() {
-        let (mut net, x) = conv_bn_stack();
-        net.fuse().expect("first fuse succeeds");
-        let before = net.infer(&x);
-        let folded_again = net.fuse().expect("second fuse succeeds");
-        assert_eq!(folded_again, 0, "nothing left to fold");
-        assert_eq!(net.infer(&x), before);
-    }
-
-    #[test]
-    fn fuse_refuses_with_pending_training_cache() {
-        let (mut net, x) = conv_bn_stack();
-        let _ = net.forward(&x, true); // forward without backward: cache pending
-        assert_eq!(net.fuse(), Err(NnError::FusePendingBackward));
-    }
-
+    /// `infer_fast` equals `forward(x, false)` bit for bit through every
+    /// layer kind, with the Linear on its packed GEMM kernel (prepared)
+    /// and on its scalar fallback (unprepared).
     #[test]
     fn fast_path_traverses_all_layers() {
-        let (net, x) = conv_bn_stack();
-        let reference = net.infer(&x);
-        let mut ctx = crate::infer::InferCtx::new();
-        let mut buf = ctx.acquire(x.len());
-        buf.copy_from_slice(x.data());
-        let (fast, shape) = net.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
-        assert_eq!(shape.dims(), reference.shape());
-        assert_eq!(&fast[..], reference.data());
+        let (mut net, x) = conv_bn_stack();
+        for prepared in [false, true] {
+            if prepared {
+                net.prepare_inference();
+            }
+            let reference = net.forward(&x, false);
+            let mut ctx = crate::infer::InferCtx::new();
+            let mut buf = ctx.acquire(x.len());
+            buf.copy_from_slice(x.data());
+            let (fast, shape) = net.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
+            assert_eq!(shape.dims(), reference.shape(), "prepared: {prepared}");
+            assert_eq!(&fast[..], reference.data(), "prepared: {prepared}");
+        }
     }
 }

@@ -270,34 +270,25 @@ impl Request {
         }
     }
 
-    /// Parses raw frame bytes (UTF-8 + JSON + schema), counting
-    /// failures into the typed frame counters.
+    /// [`Request::from_frame_meta`] without the envelope metadata.
     ///
     /// # Errors
     ///
-    /// As [`Request::from_json`], plus UTF-8 and JSON syntax errors.
+    /// As [`Request::from_frame_meta`].
     pub fn from_frame(payload: &[u8]) -> Result<Request, String> {
-        Request::from_frame_traced(payload).map(|(request, _)| request)
+        Request::from_frame_meta(payload).map(|(request, _)| request)
     }
 
-    /// [`Request::from_frame`] plus the frame's trace id, when the
-    /// client sent one.
+    /// The request decoder: parses raw frame bytes (UTF-8 + JSON +
+    /// schema) into the request and the frame's optional envelope
+    /// metadata (trace id, deadline budget), counting failures into the
+    /// typed frame counters.
     ///
     /// # Errors
     ///
-    /// As [`Request::from_frame`]; a frame that fails to parse yields
-    /// no trace id even if the raw text contained one.
-    pub fn from_frame_traced(payload: &[u8]) -> Result<(Request, Option<u64>), String> {
-        Request::from_frame_meta(payload).map(|(request, meta)| (request, meta.trace_id))
-    }
-
-    /// [`Request::from_frame`] plus the frame's optional envelope
-    /// metadata (trace id, deadline budget).
-    ///
-    /// # Errors
-    ///
-    /// As [`Request::from_frame`]; a frame that fails to parse yields
-    /// no metadata even if the raw text contained some.
+    /// As [`Request::from_json`], plus UTF-8 and JSON syntax errors; a
+    /// frame that fails to parse yields no metadata even if the raw text
+    /// contained some.
     pub fn from_frame_meta(payload: &[u8]) -> Result<(Request, FrameMeta), String> {
         let parse = || -> Result<(Request, FrameMeta), String> {
             let text =
@@ -789,13 +780,13 @@ mod tests {
         let traced = with_trace_id(request.to_json(), 0xdead_beef_cafe_f00d);
         let bytes = traced.to_json();
         assert!(bytes.contains("\"trace\":\"deadbeefcafef00d\""), "{bytes}");
-        let (parsed, id) = Request::from_frame_traced(bytes.as_bytes()).unwrap();
+        let (parsed, meta) = Request::from_frame_meta(bytes.as_bytes()).unwrap();
         assert_eq!(parsed, Request::Health);
-        assert_eq!(id, Some(0xdead_beef_cafe_f00d));
+        assert_eq!(meta.trace_id, Some(0xdead_beef_cafe_f00d));
         // An untraced frame parses with no id; an old peer parsing a
         // traced frame (unknown field) still gets the request.
-        let (_, id) = Request::from_frame_traced(request.to_json().to_json().as_bytes()).unwrap();
-        assert_eq!(id, None);
+        let (_, meta) = Request::from_frame_meta(request.to_json().to_json().as_bytes()).unwrap();
+        assert_eq!(meta.trace_id, None);
         assert_eq!(
             Request::from_frame(bytes.as_bytes()).unwrap(),
             Request::Health
@@ -850,9 +841,9 @@ mod tests {
             let payload = read_frame(&mut Cursor::new(wire), DEFAULT_MAX_FRAME_BYTES)
                 .unwrap_or_else(|e| panic!("read: {e}"))
                 .unwrap_or_else(|| panic!("frame vanished"));
-            let (parsed, echoed) = Request::from_frame_traced(&payload)
+            let (parsed, meta) = Request::from_frame_meta(&payload)
                 .unwrap_or_else(|e| panic!("parse: {e}"));
-            prop_assert_eq!(echoed, Some(trace_id));
+            prop_assert_eq!(meta.trace_id, Some(trace_id));
             let Request::Verify { user_id, probe } = parsed else {
                 panic!("round trip changed the variant");
             };

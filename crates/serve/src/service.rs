@@ -216,21 +216,6 @@ impl VerifyService {
         &mut self.system
     }
 
-    /// Deployment-time inference optimisation: fuses batch-norm running
-    /// statistics into the preceding convolutions (see
-    /// [`MandiPass::fuse`]). Decisions then match the unfused network to
-    /// ≈1e-6 in embedding space, not bit for bit — call before sharing
-    /// the service, and only when that tolerance is acceptable (the
-    /// un-fused fast path is already zero-allocation and bit-exact).
-    /// Returns the number of layers folded away.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a pending-training-cache refusal from the extractor.
-    pub fn optimize_for_inference(&mut self) -> Result<usize, MandiPassError> {
-        self.system.fuse()
-    }
-
     /// Number of enrolled identities.
     pub fn enrolled(&self) -> usize {
         self.matrices.len()
@@ -498,53 +483,6 @@ mod tests {
         assert_eq!(trace.decision, "error:not_enrolled");
         assert_eq!(trace.reason, Some(mandipass_telemetry::SampleReason::Error));
         assert!(trace.spans.is_some());
-    }
-
-    #[test]
-    fn optimize_for_inference_preserves_decisions() {
-        use mandipass_imu_sim::{Condition, Population, Recorder};
-        // A fresh (untrained — cheap) deployment: fusion parity is a
-        // property of the network transform, not of training quality.
-        let pop = Population::generate(3, 909);
-        let recorder = Recorder::default();
-        let extractor = BiometricExtractor::new(ExtractorConfig::tiny(2)).unwrap();
-        let system = MandiPass::new(extractor, PipelineConfig::default());
-        let user = pop.users()[0].clone();
-        let matrix = GaussianMatrix::generate(5, system.embedding_dim());
-        let enrolment: Vec<Recording> = (0..3)
-            .map(|s| recorder.record(&user, Condition::Normal, 700 + s))
-            .collect();
-        let mut service = VerifyService::new(system, VerifyPolicy::default());
-        service.enroll(user.id, &enrolment, matrix).unwrap();
-        let probe = recorder.record(&user, Condition::Normal, 777);
-
-        let before = match service.handle(&Request::Verify {
-            user_id: user.id,
-            probe: probe.clone(),
-        }) {
-            Response::Decision {
-                accepted, distance, ..
-            } => (accepted, distance),
-            other => panic!("expected a decision, got {other:?}"),
-        };
-        let folded = service.optimize_for_inference().unwrap();
-        assert_eq!(folded, 6, "three batch norms per branch fold away");
-        match service.handle(&Request::Verify {
-            user_id: user.id,
-            probe,
-        }) {
-            Response::Decision {
-                accepted, distance, ..
-            } => {
-                assert_eq!(accepted, before.0, "fusion flipped the decision");
-                assert!(
-                    (distance - before.1).abs() < 1e-3,
-                    "fused distance {distance} vs unfused {}",
-                    before.1
-                );
-            }
-            other => panic!("expected a decision, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Property tests over hostile sensor input: NaN/Inf bursts, huge
-//! magnitudes and arbitrary lengths must produce typed errors or clean
-//! rejections — never a panic — anywhere in the pipeline.
+//! Property tests over hostile input: NaN/Inf bursts, huge magnitudes
+//! and arbitrary lengths in sensor data, and random or mutated bytes on
+//! the wire, must produce typed errors or clean rejections — never a
+//! panic — anywhere in the pipeline.
 
 use mandipass::prelude::*;
 use mandipass::preprocess::preprocess;
 use mandipass::quality;
 use mandipass_imu_sim::recorder::Recording;
 use mandipass_imu_sim::Condition;
+use mandipass_serve::protocol::{read_frame, write_frame, Request};
 use mandipass_util::proptest::prelude::*;
 
 /// Deterministically laces a finite sample stream with NaN, ±Inf and
@@ -38,6 +40,90 @@ fn hostile_recording(values: &[f64]) -> Recording {
 fn untrained_authenticator() -> MandiPass {
     let extractor = BiometricExtractor::new(ExtractorConfig::tiny(2)).expect("tiny config");
     MandiPass::new(extractor, PipelineConfig::default())
+}
+
+/// Well-formed `verify` and `verify_policy` frames for the mutation
+/// property to corrupt.
+fn valid_frames() -> [Vec<u8>; 2] {
+    let axes: Vec<Vec<f64>> = (0..6)
+        .map(|a| (0..16).map(|i| ((i * 7 + a) as f64 * 0.37).sin()).collect())
+        .collect();
+    let probe = Recording::from_parts(350.0, axes, Condition::Normal, 0).expect("shape is valid");
+    [
+        Request::Verify {
+            user_id: 4,
+            probe: probe.clone(),
+        },
+        Request::VerifyWithPolicy {
+            user_id: 4,
+            probes: vec![probe.clone(), probe],
+        },
+    ]
+    .map(|request| request.to_json().to_json().into_bytes())
+}
+
+/// Pieces of JSON that stress the decoder when spliced anywhere into a
+/// frame: an out-of-range number, an unbalanced quote, bracket and
+/// brace, and a lone surrogate escape.
+const SPLICES: [&str; 5] = ["1e999", "\"", "[", "{", "\\ud800"];
+
+/// Applies one mutation drawn from `op`'s bits: a byte flip, a
+/// truncation, or a splice of one of [`SPLICES`].
+fn mutate(frame: &mut Vec<u8>, op: u64) {
+    let pos = (op >> 8) as usize;
+    match op % 3 {
+        0 if !frame.is_empty() => {
+            let at = pos % frame.len();
+            frame[at] ^= ((op >> 2) as u8) | 1;
+        }
+        1 => frame.truncate(pos % (frame.len() + 1)),
+        _ => {
+            let at = pos % (frame.len() + 1);
+            let splice = SPLICES[(op >> 2) as usize % SPLICES.len()].bytes();
+            frame.splice(at..at, splice);
+        }
+    }
+}
+
+/// Decodes `payload` as a request and, length-prefixed and cut after
+/// `cut` bytes, as a frame stream. Either may fail; neither may panic.
+fn decode_both_ways(payload: &[u8], cut: u64) {
+    let _ = Request::from_frame_meta(payload);
+    let mut wire = Vec::new();
+    write_frame(&mut wire, payload).expect("writes to memory");
+    let cut = cut as usize % (wire.len() + 1);
+    if let Ok(Some(frame)) = read_frame(&mut std::io::Cursor::new(&wire[..cut]), 1 << 16) {
+        let _ = Request::from_frame_meta(&frame);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_bytes_never_panic_the_wire_decoders(
+        bytes in proptest::collection::vec(0u32..256, 0..512),
+        cut in 0u64..u64::MAX,
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        decode_both_ways(&bytes, cut);
+        // The raw bytes as a stream, header included: the announced
+        // length is arbitrary, so the cap must reject or the read end.
+        let _ = read_frame(&mut std::io::Cursor::new(&bytes), 1 << 16);
+    }
+
+    #[test]
+    fn mutated_frames_never_panic_the_wire_decoders(
+        which in 0usize..2,
+        ops in proptest::collection::vec(0u64..u64::MAX, 1..9),
+        cut in 0u64..u64::MAX,
+    ) {
+        let mut frame = valid_frames()[which].clone();
+        for &op in &ops {
+            mutate(&mut frame, op);
+        }
+        decode_both_ways(&frame, cut);
+    }
 }
 
 proptest! {
