@@ -568,7 +568,7 @@ mod tests {
         enclave.store_degraded(5, fallback.clone());
         assert_eq!(enclave.load_degraded(5), Some(fallback));
         // Storage accounts for both slots.
-        assert_eq!(enclave.storage_bytes(), 2 * (16 * 4 + 8));
+        assert_eq!(enclave.storage_bytes(), 2 * 16 * 4);
         // Revocation removes the fallback along with the primary.
         assert!(enclave.revoke(5).is_some());
         assert!(enclave.load_degraded(5).is_none());
@@ -588,7 +588,7 @@ mod tests {
         let enclave = SecureEnclave::new();
         enclave.store(1, template(6));
         enclave.store(2, template(7));
-        assert_eq!(enclave.storage_bytes(), 2 * (16 * 4 + 8));
+        assert_eq!(enclave.storage_bytes(), 2 * 16 * 4);
     }
 
     #[test]

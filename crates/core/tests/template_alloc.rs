@@ -1,7 +1,6 @@
-//! The streamed projection's memory claim, enforced by a counting
-//! global allocator: a 512-d template transform allocates O(dim) bytes
-//! (the template and one scratch row of G), never the 1 MiB `dim × dim`
-//! matrix.
+//! The projection's memory claim, enforced by a counting global
+//! allocator: a 512-d template transform allocates O(dim) bytes (the
+//! template and one f64 working vector), never a `dim × dim` matrix.
 
 use mandipass::prelude::*;
 use mandipass_telemetry as telemetry;
@@ -20,8 +19,8 @@ fn template_transform_allocates_o_dim_bytes() {
             .map(|i| (i as f32 * 0.37).sin() * 0.5 + 0.5)
             .collect(),
     );
-    // Warm-up: initialise the sampler tables and lazy telemetry state
-    // outside the measured window.
+    // Warm-up: initialise lazy telemetry state outside the measured
+    // window.
     let warm = g.transform(&print).unwrap();
 
     let (allocs_before, _, bytes_before) = alloc::totals();

@@ -7,7 +7,7 @@
 //! | module        | replaces                | provides |
 //! |---------------|-------------------------|----------|
 //! | [`rand`]      | `rand`                  | xoshiro256++ `StdRng`, `Rng`, `SeedableRng`, `seq::SliceRandom` |
-//! | [`rand_distr`]| `rand_distr`            | `Normal` (Box–Muller), `StandardNormal` (ziggurat), `Uniform`, `Distribution` |
+//! | [`rand_distr`]| `rand_distr`            | `Normal` (Box–Muller), `Uniform`, `Distribution` |
 //! | [`json`]      | `serde_json`            | JSON value, writer, parser |
 //! | [`bytebuf`]   | `bytes`                 | little-endian `ByteWriter` / `ByteReader` |
 //! | [`bench`]     | `criterion`             | `Criterion`, `criterion_group!`, `criterion_main!` |

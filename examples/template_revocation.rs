@@ -37,9 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== the attacker steals the template from the enclave ==");
     let stolen = mandipass.enclave().load(user.id)?;
     println!(
-        "stolen template: {} bytes, matrix seed {:#x}",
-        stolen.storage_bytes(),
-        stolen.matrix_seed()
+        "stolen template: {} bytes (the matrix seed is not stored with it)",
+        stolen.storage_bytes()
     );
 
     let replay = mandipass.verify_cancelable(user.id, &stolen)?;
