@@ -707,14 +707,30 @@ mod tests {
 
     #[test]
     fn batched_extraction_is_batch_invariant() {
-        let mut ex = BiometricExtractor::new(ExtractorConfig::tiny(3)).unwrap();
-        ex.prepare_inference();
-        let arrays = [toy_gradient_array(0.2), toy_gradient_array(1.4)];
-        let refs: Vec<&GradientArray> = arrays.iter().collect();
-        let batched = ex.extract_prints_batch(&refs).unwrap();
-        for (i, a) in arrays.iter().enumerate() {
-            let single = ex.extract_prints_batch(&[a]).unwrap();
-            assert_eq!(single[0].as_slice(), batched[i].as_slice());
+        // Batch sizes 1–9 put the head GEMM through every 4-row block
+        // and each 3/2/1 remainder; the tiny convs (2 output channels)
+        // run a remainder block too. The paper config has a 512-wide head.
+        let bits = |p: &MandiblePrint| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for config in [ExtractorConfig::tiny(3), ExtractorConfig::paper(3)] {
+            let mut ex = BiometricExtractor::new(config).unwrap();
+            ex.prepare_inference();
+            let arrays: Vec<GradientArray> = (0..9)
+                .map(|i| toy_gradient_array(0.35 * i as f64))
+                .collect();
+            let mut singles = Vec::new();
+            for a in &arrays {
+                let fast = ex.extract_prints_batch(&[a]).unwrap();
+                let naive = ex.extract_naive(&[a]).unwrap();
+                assert_eq!(bits(&fast[0]), bits(&naive[0]), "single probe vs naive");
+                singles.push(bits(&fast[0]));
+            }
+            for size in 1..=arrays.len() {
+                let refs: Vec<&GradientArray> = arrays[..size].iter().collect();
+                let batched = ex.extract_prints_batch(&refs).unwrap();
+                for (i, print) in batched.iter().enumerate() {
+                    assert_eq!(bits(print), singles[i], "probe {i} of batch {size}");
+                }
+            }
         }
     }
 

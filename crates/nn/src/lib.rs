@@ -15,8 +15,9 @@
 //! * binary parameter (de)serialisation ([`serialize`]),
 //! * mini-batch helpers ([`data`]),
 //! * a zero-allocation inference fast path: scratch arenas ([`infer`])
-//!   and an im2col + blocked-GEMM convolution kernel ([`gemm`]), equal
-//!   bit for bit to each layer's evaluation-mode `forward`.
+//!   and one row-blocked, AVX2-dispatched GEMM ([`gemm`]) behind the
+//!   im2col convolution and the linear head, equal bit for bit to each
+//!   layer's evaluation-mode `forward`.
 //!
 //! # Example
 //!
@@ -33,6 +34,10 @@
 //! let logits = net.forward(&x, true);
 //! assert_eq!(logits.shape(), &[2, 3]);
 //! ```
+
+// The GEMM's AVX2 dispatch is the crate's one `unsafe` call; every
+// unsafe operation must sit in its own block with a `// SAFETY:` note.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod activation;
 pub mod batchnorm;

@@ -23,7 +23,7 @@ pub struct Linear {
     cached_input: Option<Tensor>,
     // Deployment-only transposed weight copy `[in, out]` built by
     // `prepare_inference`, letting the fast path run as a k-outer GEMM
-    // (contiguous, autovectorized) instead of latency-bound scalar dot
+    // (contiguous, vectorized) instead of latency-bound scalar dot
     // products. Invalidated whenever the weights are exposed mutably.
     packed_t: Option<Vec<f32>>,
 }
@@ -64,6 +64,25 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
+
+    /// The scalar reference loop: `y[i, o] = b[o] + Σ_k x[i, k]·W[o, k]`
+    /// over `n` rows, bias first and `k` ascending — the accumulation
+    /// order the packed GEMM reproduces bit for bit.
+    fn scalar_dense(&self, n: usize, x: &[f32], y: &mut [f32]) {
+        let (w, b) = (self.weight.data(), self.bias.data());
+        for i in 0..n {
+            let xi = &x[i * self.in_features..(i + 1) * self.in_features];
+            let yi = &mut y[i * self.out_features..(i + 1) * self.out_features];
+            for (o, yv) in yi.iter_mut().enumerate() {
+                let wo = &w[o * self.in_features..(o + 1) * self.in_features];
+                let mut acc = b[o];
+                for (xv, wv) in xi.iter().zip(wo) {
+                    acc += xv * wv;
+                }
+                *yv = acc;
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -80,22 +99,7 @@ impl Layer for Linear {
         assert_eq!(input.shape()[1], self.in_features, "input feature mismatch");
         let n = input.shape()[0];
         let mut out = Tensor::zeros(vec![n, self.out_features]);
-        let x = input.data();
-        let w = self.weight.data();
-        let b = self.bias.data();
-        let y = out.data_mut();
-        for i in 0..n {
-            let xi = &x[i * self.in_features..(i + 1) * self.in_features];
-            let yi = &mut y[i * self.out_features..(i + 1) * self.out_features];
-            for o in 0..self.out_features {
-                let wo = &w[o * self.in_features..(o + 1) * self.in_features];
-                let mut acc = b[o];
-                for (xv, wv) in xi.iter().zip(wo) {
-                    acc += xv * wv;
-                }
-                yi[o] = acc;
-            }
-        }
+        self.scalar_dense(n, input.data(), out.data_mut());
         if train {
             self.cached_input = Some(input.clone());
         }
@@ -108,13 +112,12 @@ impl Layer for Linear {
         assert_eq!(dims[1], self.in_features, "input feature mismatch");
         let n = dims[0];
         let mut out = ctx.acquire(n * self.out_features);
-        let b = self.bias.data();
         match &self.packed_t {
             Some(wt) => {
                 {
                     let _span = mandipass_telemetry::span("bias_act");
                     for row in out.chunks_exact_mut(self.out_features) {
-                        row.copy_from_slice(b);
+                        row.copy_from_slice(self.bias.data());
                     }
                 }
                 // Same per-output accumulation order as the scalar dot
@@ -122,23 +125,9 @@ impl Layer for Linear {
                 let _span = mandipass_telemetry::span("gemm");
                 gemm_acc(n, self.in_features, self.out_features, &input, wt, &mut out);
             }
-            None => {
-                // No packed copy (training just touched the weights):
-                // replicate the naive loop into the arena buffer.
-                let w = self.weight.data();
-                for i in 0..n {
-                    let xi = &input[i * self.in_features..(i + 1) * self.in_features];
-                    let yi = &mut out[i * self.out_features..(i + 1) * self.out_features];
-                    for (o, yv) in yi.iter_mut().enumerate() {
-                        let wo = &w[o * self.in_features..(o + 1) * self.in_features];
-                        let mut acc = b[o];
-                        for (xv, wv) in xi.iter().zip(wo) {
-                            acc += xv * wv;
-                        }
-                        *yv = acc;
-                    }
-                }
-            }
+            // No packed copy (training just touched the weights): run
+            // the reference loop into the arena buffer.
+            None => self.scalar_dense(n, &input, &mut out),
         }
         ctx.release(input);
         (out, Shape::d2(n, self.out_features))
